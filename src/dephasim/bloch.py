@@ -7,21 +7,24 @@ delta.  A CPMG sequence is a quarter-turn preparation pulse at time 0, n half
 turns at times tau, 3*tau, ..., (2n-1)*tau, and a quarter-turn readout pulse
 at time t >= (2n-1)*tau.  n = 1 is a spin echo; n = 0 is a Ramsey sequence.
 
-The readout observable is the vertical component w.  For a detuning that is
-constant over the whole sequence the pulse train refocuses everything except
-the interval t - 2*n*tau:
+Every pulse is a turn about the drive axis and every free evolution a turn
+about the vertical axis, so the readout observable, the vertical component
+w, collapses to one accumulated phase:
 
-    w(t) = (-1)**n * cos(delta * (t - 2*n*tau))
+    w(t) = (-1)**n * cos(Phi),   Phi = delta*x + sum_i c_i * jump_i
 
-so at the echo time t = 2*n*tau the fringe reaches (-1)**n for any delta.
-When the detuning is only piecewise constant -- per-interval average delta_i
-before half-turn pulse i and delta_i + jump_i after it -- the refocusing is
-incomplete and exactly the jumps survive:
+with x = t - 2*n*tau (x = t for Ramsey) and weights c_i = (-1)**(n-i) * tau
+for i < n and c_n = t - (2n-1)*tau.  Here the detuning is delta in the half
+interval before half turn i and delta + jump_i in the half interval after it
+(``SegmentDetunings`` with a uniform base).  With no jumps the train
+refocuses everything except the interval x, and at the echo time
+t = 2*n*tau the fringe reaches (-1)**n for any delta; with jumps exactly the
+weighted jumps survive at the echo.
 
-    w(2*n*tau) = (-1)**n * cos(tau * sum_i (-1)**(n-i) * jump_i)
-
-Both closed forms are implemented next to the explicit matrix products so
-that each route can be validated against the other.
+``accumulated_phase`` evaluates Phi for whole batches of draws; ``w_cpmg`` and
+``w_cpmg_perturbed`` are its special cases.  The explicit matrix products in
+``evolve_cpmg`` and ``evolve_cpmg_perturbed`` are kept as the oracle the closed
+form is tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "free_precession",
     "evolve_cpmg",
     "evolve_cpmg_perturbed",
+    "jump_weights",
+    "accumulated_phase",
     "w_cpmg",
     "w_cpmg_perturbed",
 ]
@@ -311,15 +316,58 @@ def _check_timing(tau: float, n: int, t) -> np.ndarray:
     return t
 
 
+def jump_weights(tau: float, n: int, t: float) -> np.ndarray:
+    """Weights c_i with which the jump across half turn i enters the phase.
+
+    c_i = (-1)**(n-i) * tau for i < n and c_n = t - (2n-1)*tau, the time
+    from the last half turn to the readout; empty for n = 0.
+    """
+    c = tau * (-1.0) ** (n - np.arange(1, n + 1))
+    if n >= 1:
+        c[-1] = t - (2 * n - 1) * tau
+    return c
+
+
+def accumulated_phase(delta_eff, tau: float, n: int, t, jumps=None):
+    """Phase Phi = delta_eff*x + sum_i c_i*jumps[i] at readout time t.
+
+    The fringe is w = (-1)**n * cos(Phi).  x = t - 2*n*tau, and for n = 0
+    the phase is delta_eff*t.  ``delta_eff`` and ``t`` broadcast against each
+    other, so a batch of draws or a grid of readout times (all satisfying
+    t >= (2n-1)*tau) evaluates in one call.
+
+    Parameters
+    ----------
+    delta_eff : float or array
+        Base detuning delta, rad/s.
+    tau : float
+    n : int
+        Number of half-turn pulses (>= 0).
+    t : float or array
+        Readout time(s); must be a scalar when ``jumps`` is given.
+    jumps : array-like, shape (..., n), optional
+        Detuning change across each half turn, rad/s.
+    """
+    t_arr = _check_timing(tau, n, t)
+    phase = delta_eff * (t_arr - 2 * n * tau)
+    if jumps is not None:
+        arr = np.asarray(jumps, dtype=float)
+        if arr.shape[-1:] != (n,):
+            raise DomainError(
+                f"jumps must have {n} entries along the last axis, got shape {arr.shape}"
+            )
+        phase = phase + arr @ jump_weights(tau, n, float(t_arr))
+    return phase
+
+
 def w_cpmg(delta: float, tau: float, n: int, t):
     """Closed-form fringe of the unperturbed sequence.
 
     Returns (-1)**n * cos(delta * (t - 2*n*tau)); accepts a scalar or an
     array of readout times t (all must satisfy t >= (2n-1)*tau).
     """
-    t_arr = _check_timing(tau, n, t)
-    out = (-1.0) ** n * np.cos(delta * (t_arr - 2 * n * tau))
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    out = (-1.0) ** n * np.cos(accumulated_phase(delta, tau, n, t))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def w_cpmg_perturbed(tau: float, n: int, jumps):
@@ -342,12 +390,5 @@ def w_cpmg_perturbed(tau: float, n: int, jumps):
         raise DomainError(f"perturbed fringe requires n >= 1, got n = {n}")
     if not tau > 0:
         raise DomainError(f"tau must be positive, got {tau}")
-    arr = np.asarray(jumps, dtype=float)
-    if arr.shape[-1:] != (n,):
-        raise DomainError(
-            f"jumps must have {n} entries along the last axis, got shape {arr.shape}"
-        )
-    signs = (-1.0) ** (n - np.arange(1, n + 1))
-    phase = tau * np.sum(signs * arr, axis=-1)
-    out = (-1.0) ** n * np.cos(phase)
+    out = (-1.0) ** n * np.cos(accumulated_phase(0.0, tau, n, 2 * n * tau, jumps))
     return float(out) if out.ndim == 0 else out

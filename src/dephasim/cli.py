@@ -254,6 +254,8 @@ def read_visibility_csv(path):
                 t, v, e = (float(cell) for cell in row)
             except ValueError as exc:
                 raise DataFormatError(str(exc), row=index) from None
+            if not all(math.isfinite(x) for x in (t, v, e)):
+                raise DataFormatError(f"non-finite value in {row!r}", row=index)
             if not e > 0:
                 raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
             times.append(t)

@@ -2,20 +2,19 @@
 
 Each experimental cycle draws one quasi-static noise realization: a
 light-shift detuning sample (inhomogeneous broadening across the atom
-ensemble) and one vector of per-interval detuning jumps (homogeneous noise
-within a sequence).  The Bloch vector is evolved through the pulse train at
-the effective detuning
+ensemble) and the detuning jumps across the half turns (homogeneous noise
+within a sequence).  The readout is w = (-1)**n * cos(Phi) with the phase of
+``bloch.accumulated_phase`` at the effective detuning
 
-    delta_eff = delta_set - zeeman_shift - delta_lightshift,
+    delta_eff = delta_set - zeeman_shift - delta_lightshift.
 
-the readout fraction is (1 - contrast*w)/2, and finite measurement
+The jumps enter Phi only through sum_i c_i * jump_i, a single Gaussian, so
+each cycle draws that sum directly (``noise.sample_jump_phase``) instead of
+one jump per pulse.  The mean of w over the draws goes through
+``analytic.fraction_from_w`` with the fringe contrast, and finite measurement
 statistics are emulated by drawing successes from a binomial with
-``cycles_per_point`` trials.
-
-The per-draw evolution exists in two forms: ``simulate_point`` goes through
-the bloch module one draw at a time, and the vectorized kernel used by
-``ensemble_probability`` applies the same pulse maps to whole batches.  Tests
-pin the two routes together.
+``cycles_per_point`` trials.  ``simulate_point`` is the same path with one
+draw.
 
 Reproducibility contract: every time-grid point derives its own random
 substream from ``(rng_seed, point index)``, so datasets are bit-identical
@@ -33,8 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytic import fraction_from_w
-from .bloch import SegmentDetunings, SequenceSpec, evolve_cpmg_perturbed, free_precession, rotate_pi_half
-from .bloch import INITIAL_STATE
+from .bloch import SequenceSpec, accumulated_phase
 from .errors import DataFormatError, DomainError, FitError
 from .fit import fit_fringe, points_from_counts
 from .noise import (
@@ -42,7 +40,7 @@ from .noise import (
     HomogeneousNoiseSpec,
     LightShiftDistribution,
     lightshift_sample,
-    sample_detuning_differences,
+    sample_jump_phase,
 )
 
 __all__ = [
@@ -178,6 +176,10 @@ class FringeDataset:
                     n_trials, n_succ = int(row[2]), int(row[3])
                 except ValueError as exc:
                     raise DataFormatError(str(exc), row=index) from None
+                if not (math.isfinite(t) and math.isfinite(frac)):
+                    raise DataFormatError(f"non-finite time {t} or fraction {frac}", row=index)
+                if n_trials < 1:
+                    raise DataFormatError(f"trials must be >= 1, got {n_trials}", row=index)
                 if not 0 <= n_succ <= n_trials:
                     raise DataFormatError(
                         f"successes {n_succ} outside [0, trials = {n_trials}]", row=index
@@ -211,77 +213,7 @@ class FringeDataset:
         )
 
 
-# ------------------------------------------------------- per-draw evolution
-
-
-def _effective_sequence(config: ExperimentConfig, t: float, delta_eff: float) -> SequenceSpec:
-    seq = config.sequence
-    return replace(seq, t=float(t), delta=float(delta_eff))
-
-
-def simulate_point(config: ExperimentConfig, t: float, rng) -> float:
-    """Success probability of a single experimental cycle (one noise draw).
-
-    Draws one light-shift value and one detuning-jump vector (when the
-    corresponding noise source is configured), evolves the Bloch vector
-    through the sequence, and maps the readout w to a fraction.  Averaging
-    many calls estimates the ensemble mean; with no noise configured the
-    value is deterministic.
-    """
-    delta_eff = config.sequence.delta - config.zeeman_shift
-    if config.inhomogeneous is not None:
-        delta_eff -= lightshift_sample(config.inhomogeneous, rng)
-    seq = _effective_sequence(config, t, delta_eff)
-    if seq.n == 0:
-        state = rotate_pi_half(INITIAL_STATE)
-        state = free_precession(state, seq.delta, seq.t)
-        state = rotate_pi_half(state)
-    else:
-        jumps = (
-            sample_detuning_differences(config.homogeneous, rng)
-            if config.homogeneous is not None
-            else np.zeros(seq.n)
-        )
-        base = np.full(seq.n, seq.delta)
-        state = evolve_cpmg_perturbed(seq.tau, seq.n, SegmentDetunings(base, jumps), t=seq.t)
-    return fraction_from_w(config.contrast * state.w, invert=config.invert_fraction)
-
-
-# ---------------------------------------------------- vectorized ensemble
-
-
-def _pulse_pi_half_batch(u, v, w):
-    return u, -w, v
-
-
-def _pulse_pi_batch(u, v, w):
-    return u, -v, -w
-
-
-def _precess_batch(u, v, w, delta, duration):
-    angle = delta * duration
-    c, s = np.cos(angle), np.sin(angle)
-    return u * c + v * s, -u * s + v * c, w
-
-
-def _batch_w(n: int, tau: float, t: float, delta_eff: np.ndarray, jumps) -> np.ndarray:
-    """Readout w for a batch of draws; mirrors the scalar pulse maps exactly."""
-    u = np.zeros_like(delta_eff)
-    v = np.zeros_like(delta_eff)
-    w = np.full_like(delta_eff, -1.0)
-    u, v, w = _pulse_pi_half_batch(u, v, w)
-    if n == 0:
-        u, v, w = _precess_batch(u, v, w, delta_eff, t)
-    else:
-        last_pulse = (2 * n - 1) * tau
-        for i in range(n):
-            u, v, w = _precess_batch(u, v, w, delta_eff, tau)
-            u, v, w = _pulse_pi_batch(u, v, w)
-            duration = tau if i < n - 1 else t - last_pulse
-            perturbed = delta_eff if jumps is None else delta_eff + jumps[:, i]
-            u, v, w = _precess_batch(u, v, w, perturbed, duration)
-    u, v, w = _pulse_pi_half_batch(u, v, w)
-    return w
+# ---------------------------------------------------------- noise averages
 
 
 def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | None = None) -> float:
@@ -292,23 +224,27 @@ def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | N
     evaluation is taken.
     """
     seq = config.sequence
-    earliest = seq.earliest_readout
-    if t < earliest:
-        raise DomainError(f"readout time t = {t} violates t >= (2n-1)*tau = {earliest}")
     if config.inhomogeneous is None and config.homogeneous is None:
         draws = 1
     elif draws is None:
         draws = config.noise_draws
-    delta_eff = np.full(draws, seq.delta - config.zeeman_shift)
+    delta_eff = seq.delta - config.zeeman_shift
     if config.inhomogeneous is not None:
         delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
-    jumps = None
+    phase = accumulated_phase(delta_eff, seq.tau, seq.n, t)
     if config.homogeneous is not None and seq.n >= 1:
-        jumps = sample_detuning_differences(config.homogeneous, rng, size=draws)
-    w = _batch_w(seq.n, seq.tau, t, delta_eff, jumps)
-    fraction = (1.0 + config.contrast * w) / 2.0 if config.invert_fraction \
-        else (1.0 - config.contrast * w) / 2.0
-    return float(np.clip(np.mean(fraction), 0.0, 1.0))
+        phase = phase + sample_jump_phase(config.homogeneous, seq.tau, t, rng, size=draws)
+    w = (-1.0) ** seq.n * np.mean(np.cos(phase))
+    return fraction_from_w(config.contrast * w, invert=config.invert_fraction)
+
+
+def simulate_point(config: ExperimentConfig, t: float, rng) -> float:
+    """Success probability of a single experimental cycle (one noise draw).
+
+    Averaging many calls estimates the ensemble mean; with no noise
+    configured the value is deterministic.
+    """
+    return ensemble_probability(config, t, rng, draws=1)
 
 
 # ------------------------------------------------------------- datasets

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SegmentDetunings
+from .bloch import SegmentDetunings, jump_weights
 from .errors import DomainError
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "lightshift_cdf",
     "lightshift_sample",
     "sample_detuning_differences",
+    "sample_jump_phase",
     "reduce_trace",
     "white_piecewise_trace",
 ]
@@ -179,6 +180,22 @@ def sample_detuning_differences(
     """
     shape = (spec.n,) if size is None else (size, spec.n)
     return rng.normal(0.0, 1.0, size=shape) * spec.sigmas
+
+
+def sample_jump_phase(
+    spec: HomogeneousNoiseSpec, tau: float, t: float, rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Draw the phase sum_i c_i * jump_i that the jumps leave at readout time t.
+
+    The c_i are ``bloch.jump_weights(tau, spec.n, t)``.  A weighted sum of
+    independent zero-mean Gaussians is one Gaussian with standard deviation
+    sqrt(sum_i c_i**2 * sigma_i**2), so one standard normal per shot replaces
+    n.  Returns a float for ``size=None``, else an array.
+    """
+    c = jump_weights(tau, spec.n, t)
+    scale = float(np.sqrt(np.sum((c * spec.sigmas) ** 2)))
+    return scale * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,34 @@ def test_fit_malformed_row_exits_2_with_row_number(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [
+    "0.002,0.0,0,0",
+    "nan,0.5,100,50",
+    "inf,0.5,100,50",
+    "0.002,nan,100,50",
+])
+def test_fit_empty_or_non_finite_row_exits_2(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time_s,fraction,trials,successes\n"
+                   + "".join(f"{1e-3 * k},0.5,100,50\n" for k in range(1, 17))
+                   + row + "\n", encoding="utf-8")
+    assert main(["fit", "--data", str(bad), "--model", "ramsey"]) == 2
+    err = capsys.readouterr().err
+    assert "row 17" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,0.01", "0.2,nan,0.01", "0.2,0.4,inf"])
+def test_fit_visibility_non_finite_row_exits_2(tmp_path, capsys, row):
+    bad = tmp_path / "vis.csv"
+    bad.write_text("total_time_s,visibility,visibility_err\n"
+                   f"0.1,0.5,0.01\n{row}\n0.3,0.3,0.01\n", encoding="utf-8")
+    assert main(["fit", "--data", str(bad), "--model", "visibility", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err
+    assert "Traceback" not in err
+
+
 def test_fit_missing_sequence_options_exit_2(ramsey_run, capsys):
     data = str(ramsey_run / "run.csv")
     assert main(["fit", "--data", data, "--model", "echo_fringe"]) == 2

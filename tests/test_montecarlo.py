@@ -14,7 +14,15 @@ from dephasim.analytic import (
     homogeneous_factor,
     t2_prime,
 )
-from dephasim.bloch import SegmentDetunings, SequenceSpec, evolve_cpmg, evolve_cpmg_perturbed, w_cpmg
+from dephasim.bloch import (
+    SegmentDetunings,
+    SequenceSpec,
+    accumulated_phase,
+    evolve_cpmg,
+    evolve_cpmg_perturbed,
+    jump_weights,
+    w_cpmg,
+)
 from dephasim.errors import DataFormatError, DomainError
 from dephasim.fit import fit_fringe, fit_visibility_decay, weighted_points
 from dephasim.montecarlo import (
@@ -26,7 +34,6 @@ from dephasim.montecarlo import (
     scan_visibility,
     simulate_dataset,
     simulate_point,
-    _batch_w,
 )
 from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution
 
@@ -70,21 +77,44 @@ def test_invalid_readout_time_rejected():
 
 
 def test_batch_kernel_matches_per_draw_evolution():
+    # readout times from the last half turn to past the echo, never on it
     rng = np.random.default_rng(2)
-    for n, tau, t in ((1, 4e-3, 9e-3), (2, 3e-3, 0.0125), (5, 1e-3, 0.0102)):
+    tau = 1e-3
+    for n in (0, 1, 2, 3, 6, 12):
         delta_eff = rng.uniform(-3e3, 3e3, size=200)
         jumps = rng.normal(0.0, 40.0, size=(200, n))
-        batch = _batch_w(n, tau, t, delta_eff, jumps)
-        for k in range(0, 200, 17):
-            seg = SegmentDetunings(np.full(n, delta_eff[k]), jumps[k])
-            scalar = evolve_cpmg_perturbed(tau, n, seg, t=t).w
-            assert batch[k] == pytest.approx(scalar, abs=1e-12)
-    # Ramsey branch
-    delta_eff = rng.uniform(-3e3, 3e3, size=50)
-    batch = _batch_w(0, 0.0, 1.3e-3, delta_eff, None)
-    for k in range(0, 50, 7):
-        seq = SequenceSpec("ramsey", 0, t=1.3e-3, delta=float(delta_eff[k]))
-        assert batch[k] == pytest.approx(evolve_cpmg(seq).w, abs=1e-12)
+        times = ((2 * n - 0.9) * tau, (2 * n - 0.3) * tau, 2 * n * tau + 0.4e-3) if n \
+            else (0.1e-3, 0.7e-3, 1.4e-3)
+        for t in times:
+            batch = (-1.0) ** n * np.cos(accumulated_phase(delta_eff, tau, n, t, jumps))
+            for k in range(0, 200, 17):
+                if n == 0:
+                    seq = SequenceSpec("ramsey", 0, t=t, delta=float(delta_eff[k]))
+                    oracle = evolve_cpmg(seq).w
+                else:
+                    seg = SegmentDetunings(np.full(n, delta_eff[k]), jumps[k])
+                    oracle = evolve_cpmg_perturbed(tau, n, seg, t=t).w
+                assert batch[k] == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_one_gaussian_per_shot_matches_filter_factor_off_echo(n):
+    # Per-interval sigmas differ, so the readout-dependent last weight must
+    # pair with the last sigma.  The bound is 4 standard errors of the mean
+    # over independent batches of draws.
+    tau, delta = 2e-3, 2 * math.pi * 60.0
+    sigmas = np.linspace(50.0, 200.0, n)
+    seq = SequenceSpec("spin_echo" if n == 1 else "cpmg", n, tau=tau, delta=delta)
+    cfg = ExperimentConfig(sequence=seq, homogeneous=HomogeneousNoiseSpec(sigmas),
+                           time_grid=(2 * n * tau,), noise_draws=2000)
+    rng = np.random.default_rng(40 + n)
+    for t in (2 * n * tau - 0.6 * tau, 2 * n * tau + 0.4e-3):
+        c = jump_weights(tau, n, t)
+        w = (-1.0) ** n * math.cos(delta * (t - 2 * n * tau)) \
+            * math.exp(-0.5 * np.sum(c**2 * sigmas**2))
+        batches = np.array([ensemble_probability(cfg, t, rng) for _ in range(200)])
+        se = np.std(batches, ddof=1) / math.sqrt(batches.size)
+        assert abs(np.mean(batches) - fraction_from_w(w)) <= 4 * se
 
 
 def test_contrast_and_inversion_flow_through():
@@ -260,6 +290,20 @@ def test_csv_round_trip_and_malformed_rows(tmp_path):
         FringeDataset.read_csv(bad)
     bad.write_text("time_s,fraction,trials,successes\nx,0.5,100,50\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="row 1"):
+        FringeDataset.read_csv(bad)
+
+
+@pytest.mark.parametrize("row", [
+    "0.002,0.0,0,0",        # no trials
+    "nan,0.5,100,50",
+    "inf,0.5,100,50",
+    "0.002,nan,100,50",
+])
+def test_csv_rejects_empty_and_non_finite_rows(tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"time_s,fraction,trials,successes\n0.001,0.5,100,50\n{row}\n",
+                   encoding="utf-8")
+    with pytest.raises(DataFormatError, match="row 2"):
         FringeDataset.read_csv(bad)
 
 
