@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -372,6 +373,8 @@ def _parse_sweep_section(doc: dict) -> dict:
 
 
 def cmd_sweep_n(args) -> int:
+    if not (os.path.isdir(args.outdir) and os.access(args.outdir, os.W_OK | os.X_OK)):
+        raise ConfigError("outdir", f"{args.outdir!r} is not a writable directory")
     doc = _load_document(args.config)
     base_config = build_experiment(doc)
     sweep = _parse_sweep_section(doc)
@@ -500,6 +503,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a data or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

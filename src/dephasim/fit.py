@@ -184,7 +184,8 @@ def fit_curve(
     -------
     FitResult
         Best parameters found.  ``converged`` is False when the iteration cap
-        was hit; a NaN model output raises FitError instead.
+        was hit or no finite step lowered the cost by damping 1e8; a NaN
+        model output raises FitError instead.
     """
     theta = np.asarray(initial, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -239,23 +240,20 @@ def fit_curve(
         scale = np.diag(normal).copy()
         ridge = np.diag(scale + 1e-12 * max(scale.max(), 1.0))
         accepted = False
-        while not accepted:
+        while True:
             try:
                 step = np.linalg.solve(normal + damping * ridge, gradient)
             except np.linalg.LinAlgError:
-                damping = max(damping * 10.0, 1e-4)
-                continue
-            if not np.all(np.isfinite(step)):
-                damping = max(damping * 10.0, 1e-4)
-                continue
-            trial = np.clip(theta + step, lo, hi)
-            trial_cost, trial_residuals = cost_and_residuals(trial)
-            if trial_cost <= cost:
-                accepted = True
-            elif damping > 1e8:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                trial = np.clip(theta + step, lo, hi)
+                trial_cost, trial_residuals = cost_and_residuals(trial)
+                accepted = trial_cost <= cost
+            if accepted:
+                break
+            if damping > 1e8:
                 break  # no usable step in this direction; stop at best-so-far
-            else:
-                damping = max(damping * 10.0, 1e-4)
+            damping = max(damping * 10.0, 1e-4)
 
         if not accepted:
             break
@@ -292,12 +290,75 @@ def fit_curve(
     )
 
 
+_LATTICE_TOL = 1e-9  # largest |(x - x0)/h - k| accepted as on the lattice
+_LATTICE_MULTIPLE = 4  # lattice length may be at most this many times the point count
+_CHUNK_CELLS = 1 << 20  # frequency x sample cells per chunk of the direct projection
+
+
+def _lattice_power(x: np.ndarray, centered: np.ndarray, omegas: np.ndarray):
+    """|sum_i centered_i e^{i omega x_i}|**2 on a uniform omega grid by chirp-z.
+
+    Each sample is mapped to k = rint((x - x0)/h) on the lattice of the
+    smallest spacing h; the lattice step is then measured over the whole
+    span, so rounding in the stored times does not accumulate with k.  The
+    values are summed per lattice index (duplicates and gaps are exact), and
+    Bluestein's identity jk = (j**2 + k**2 - (j - k)**2)/2 turns the sum into
+    one convolution: three FFTs of length >= K + n_grid - 1.  Returns None
+    when the samples are off the lattice by more than _LATTICE_TOL, where the
+    phase error would exceed pi * _LATTICE_TOL, or when the lattice is longer
+    than _LATTICE_MULTIPLE times the number of samples.
+    """
+    x0 = float(np.min(x))
+    offsets = x - x0
+    h = float(np.min(np.diff(np.unique(x))))
+    index = np.rint(offsets / h)
+    k_max = float(np.max(index))
+    if k_max + 1 > _LATTICE_MULTIPLE * x.size:
+        return None
+    step = float(np.max(offsets)) / k_max
+    if np.max(np.abs(offsets / step - index)) > _LATTICE_TOL:
+        return None
+    k_len = int(k_max) + 1
+    summed = np.bincount(index.astype(np.int64), weights=centered, minlength=k_len)
+
+    n_grid = omegas.size
+    theta0 = float(omegas[0]) * step
+    dtheta = float(omegas[-1] - omegas[0]) / max(n_grid - 1, 1) * step
+    length = 1 << (k_len + n_grid - 2).bit_length()
+    k = np.arange(k_len, dtype=float)
+    chirped = summed * np.exp(1j * (theta0 * k + 0.5 * dtheta * k * k))
+    m = np.arange(max(k_len, n_grid), dtype=float)
+    chirp = np.exp(-0.5j * dtheta * m * m)
+    kernel = np.zeros(length, dtype=complex)
+    kernel[:n_grid] = chirp[:n_grid]
+    kernel[length - k_len + 1:] = chirp[1:k_len][::-1]
+    amplitude = np.fft.ifft(np.fft.fft(chirped, length) * np.fft.fft(kernel))[:n_grid]
+    return amplitude.real ** 2 + amplitude.imag ** 2
+
+
+def _projection_power(x: np.ndarray, centered: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The same power by direct cos/sin projection, about _CHUNK_CELLS cells at a time."""
+    rows = max(1, _CHUNK_CELLS // x.size)
+    power = np.empty(omegas.size)
+    for start in range(0, omegas.size, rows):
+        phases = np.outer(omegas[start:start + rows], x)
+        power[start:start + rows] = ((np.cos(phases) @ centered) ** 2
+                                     + (np.sin(phases) @ centered) ** 2)
+    return power
+
+
 def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> float:
     """Angular frequency of the strongest sinusoidal component of (x, y).
 
-    Direct projection onto a cos/sin grid spanning half a cycle over the full
-    record up to the Nyquist rate of the closest point spacing.  Raises
-    FitError on flat data (no identifiable frequency).
+    The power |sum_i (y_i - mean y) e^{i omega x_i}|**2 is scanned on a
+    uniform grid from half a cycle over the full record up to the Nyquist
+    rate of the closest point spacing, n_grid = oversample * span / spacing
+    points (at least 64, at most ``max_grid``).  Samples on a common time
+    lattice (any linspace grid, with or without gaps and repeated times) are
+    evaluated exactly by a chirp-z transform in O((N + n_grid) log(N + n_grid))
+    time; any other grid falls back to the direct projection, computed in
+    chunks of about a million cells.  Memory is O(N + n_grid) either way.
+    Raises FitError on flat data (no identifiable frequency).
     """
     x = np.asarray(x, dtype=float)
     centered = np.asarray(y, dtype=float) - np.mean(y)
@@ -310,8 +371,9 @@ def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> floa
     spacing = float(np.min(np.diff(unique_x)))
     n_grid = min(max_grid, max(64, int(oversample * span / spacing)))
     omegas = 2 * np.pi * np.linspace(0.5 / span, 0.5 / spacing, n_grid)
-    phases = np.outer(omegas, x)
-    power = (np.cos(phases) @ centered) ** 2 + (np.sin(phases) @ centered) ** 2
+    power = _lattice_power(x, centered, omegas)
+    if power is None:
+        power = _projection_power(x, centered, omegas)
     return float(omegas[np.argmax(power)])
 
 

@@ -134,8 +134,18 @@ class FringeDataset:
         trials = np.atleast_1d(np.asarray(self.trials, dtype=np.int64))
         if not times.shape == successes.shape == trials.shape:
             raise DataFormatError("times, successes and trials must have equal length")
-        if np.any(successes < 0) or np.any(successes > trials):
-            raise DataFormatError("successes must satisfy 0 <= successes <= trials")
+        rules = (
+            ("time must be finite", ~np.isfinite(times)),
+            ("trials must be >= 1", trials < 1),
+            ("successes must satisfy 0 <= successes <= trials",
+             (successes < 0) | (successes > trials)),
+        )
+        bad = np.any([mask for _, mask in rules], axis=0)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            rule = next(rule for rule, mask in rules if mask[i])
+            raise DataFormatError(f"{rule}; got time {times[i]}, successes {successes[i]}, "
+                                  f"trials {trials[i]}", row=i + 1)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "successes", successes)
         object.__setattr__(self, "trials", trials)
@@ -167,7 +177,7 @@ class FringeDataset:
                 raise DataFormatError("empty dataset file") from None
             if header != ["time_s", "fraction", "trials", "successes"]:
                 raise DataFormatError(f"unexpected header {header!r}")
-            times, successes, trials = [], [], []
+            times, fractions, successes, trials = [], [], [], []
             for index, row in enumerate(reader, start=1):
                 if len(row) != 4:
                     raise DataFormatError(f"expected 4 columns, got {len(row)}", row=index)
@@ -176,22 +186,17 @@ class FringeDataset:
                     n_trials, n_succ = int(row[2]), int(row[3])
                 except ValueError as exc:
                     raise DataFormatError(str(exc), row=index) from None
-                if not (math.isfinite(t) and math.isfinite(frac)):
-                    raise DataFormatError(f"non-finite time {t} or fraction {frac}", row=index)
-                if n_trials < 1:
-                    raise DataFormatError(f"trials must be >= 1, got {n_trials}", row=index)
-                if not 0 <= n_succ <= n_trials:
-                    raise DataFormatError(
-                        f"successes {n_succ} outside [0, trials = {n_trials}]", row=index
-                    )
-                if abs(frac - n_succ / n_trials) > 1e-9:
-                    raise DataFormatError(
-                        f"fraction {frac} does not equal successes/trials", row=index
-                    )
                 times.append(t)
+                fractions.append(frac)
                 successes.append(n_succ)
                 trials.append(n_trials)
-        return FringeDataset(np.array(times), np.array(successes), np.array(trials))
+        dataset = FringeDataset(np.array(times), np.array(successes), np.array(trials))
+        mismatch = ~(np.abs(np.array(fractions) - dataset.fractions) <= 1e-9)
+        if np.any(mismatch):
+            i = int(np.argmax(mismatch))
+            raise DataFormatError(f"fraction {fractions[i]} does not equal successes/trials",
+                                  row=i + 1)
+        return dataset
 
     def to_json(self) -> str:
         rows = [
@@ -204,13 +209,10 @@ class FringeDataset:
     def from_json(text: str) -> "FringeDataset":
         try:
             rows = json.loads(text)["rows"]
+            columns = [[r[key] for r in rows] for key in ("time_s", "successes", "trials")]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataFormatError(f"not a dataset JSON document: {exc}") from None
-        return FringeDataset(
-            np.array([r["time_s"] for r in rows]),
-            np.array([r["successes"] for r in rows]),
-            np.array([r["trials"] for r in rows]),
-        )
+        return FringeDataset(*map(np.array, columns))
 
 
 # ---------------------------------------------------------- noise averages

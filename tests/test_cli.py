@@ -212,6 +212,31 @@ def test_sweep_empty_n_list_exits_2(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", "{tmp}/missing.csv", "--model", "ramsey"],
+    ["fit", "--data", "{tmp}/missing.csv", "--model", "visibility", "--n", "1"],
+    ["fit", "--data", "{run}/run.csv", "--model", "ramsey", "--output", "{tmp}/nodir/fit.json"],
+    ["simulate", "--config", "{run}/cfg.json", "--output", "{tmp}/nodir/run"],
+])
+def test_unusable_data_or_output_path_exits_2_naming_it(ramsey_run, tmp_path, capsys, command):
+    argv = [arg.format(tmp=tmp_path, run=ramsey_run) for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_sweep_missing_outdir_exits_2_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before --outdir was checked")
+
+    monkeypatch.setattr("dephasim.cli.scan_visibility", no_scan)
+    config = write_config(tmp_path / "cfg.json", sweep_doc(sigma_sig=40.0))
+    missing = tmp_path / "missing"
+    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def table_sweep(tmp_path_factory):
     root = tmp_path_factory.mktemp("table_sweep")

@@ -1,11 +1,15 @@
 """Optimizer behaviour, wrapper recovery at realistic statistics, calibration."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dephasim import fit as fit_module
 from dephasim.analytic import FringeModelParams, envelope_alpha, envelope_kappa, fringe_inhomogeneous
+from dephasim.bloch import SequenceSpec
 from dephasim.errors import FitError
 from dephasim.fit import (
     FITTERS,
@@ -22,6 +26,8 @@ from dephasim.fit import (
     points_from_counts,
     weighted_points,
 )
+from dephasim.montecarlo import ExperimentConfig, simulate_dataset
+from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution
 
 OMEGA_RABI = 2 * math.pi * 130e3          # rad/s
 T2_STAR = 1.4e-3                           # s
@@ -131,6 +137,26 @@ def test_iteration_cap_returns_best_so_far():
     assert res.rss <= start_cost
 
 
+def test_overflowing_normal_matrix_stops_at_start():
+    # finite model and Jacobian, but design.T @ design overflows, so every step is NaN
+    t = np.linspace(0.05, 1.0, 20)
+    data = weighted_points(t, 0.5 * t)
+    result = {}
+
+    def run():
+        with np.errstate(all="ignore"):
+            result["fit"] = fit_curve(lambda tt, th: 1e160 * (th[0] + th[1]) * tt,
+                                      data, [1e-170, 1e-170])
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=20.0)
+    assert not worker.is_alive(), "fit_curve did not return within 20 s"
+    fit = result["fit"]
+    assert not fit.converged
+    assert list(fit.params.values()) == [1e-170, 1e-170]
+
+
 def test_jacobian_matches_closed_form_derivatives():
     # visibility model: dV/dc0 = exp(-(t/2n)^2 s^2/2), dV/ds = -c0 (t/2n)^2 s * exp(...)
     n = 3
@@ -153,6 +179,93 @@ def test_dominant_frequency_resolves_carrier():
         dominant_frequency([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
     with pytest.raises(FitError):
         dominant_frequency([1.0], [0.5])
+
+
+def projection_oracle(x, y, oversample=8, max_grid=20000):
+    """The frequency grid of dominant_frequency and its power by outer product."""
+    x = np.asarray(x, dtype=float)
+    centered = np.asarray(y, dtype=float) - np.mean(y)
+    unique_x = np.unique(x)
+    span, spacing = unique_x[-1] - unique_x[0], np.min(np.diff(unique_x))
+    n_grid = min(max_grid, max(64, int(oversample * span / spacing)))
+    omegas = 2 * np.pi * np.linspace(0.5 / span, 0.5 / spacing, n_grid)
+    phases = np.outer(omegas, x)
+    return omegas, (np.cos(phases) @ centered) ** 2 + (np.sin(phases) @ centered) ** 2
+
+
+def assert_matches_oracle(x, y, on_lattice=True):
+    omegas, power = projection_oracle(x, y)
+    assert dominant_frequency(x, y) == omegas[np.argmax(power)]
+    centered = np.asarray(y, dtype=float) - np.mean(y)
+    fast = fit_module._lattice_power(np.asarray(x, dtype=float), centered, omegas)
+    if not on_lattice:
+        assert fast is None
+        fast = fit_module._projection_power(np.asarray(x, dtype=float), centered, omegas)
+    assert np.max(np.abs(fast - power)) <= 1e-9 * np.max(power)
+
+
+def noisy_carrier(x, freq, seed):
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    return 0.5 + 0.4 * np.cos(2 * math.pi * freq * x + 0.3) + rng.normal(0, 0.05, x.size)
+
+
+@pytest.mark.parametrize("start, stop, points, freq", [
+    (0.0, 2e-3, 31, 4.2e3),
+    (50e-6, 3e-3, 1000, 8.6e3),
+    (11.2e-3, 14e-3, 1000, 1.5e3),
+    (1e-6, 120e-6, 52, 130e3),
+    (1.0, 1.001, 200, 8e3),   # off by > 1e-9 steps from the lattice of the smallest spacing
+])
+def test_dominant_frequency_matches_projection_on_linspace(start, stop, points, freq):
+    x = np.linspace(start, stop, points)
+    assert_matches_oracle(x, noisy_carrier(x, freq, seed=points))
+
+
+def test_dominant_frequency_matches_projection_with_gaps_and_repeats():
+    lattice = 0.4e-3 + 2.5e-6 * np.arange(600)
+    x = np.concatenate([lattice[:150], lattice[260:], lattice[300:340], lattice[5:9]])
+    assert_matches_oracle(x, noisy_carrier(x, 6.1e3, seed=3))
+
+
+@pytest.mark.parametrize("jitter", [1e-6, 0.5])
+def test_dominant_frequency_irregular_grid_takes_projection(jitter):
+    rng = np.random.default_rng(4)
+    x = np.sort(1e-5 * (np.arange(300) + rng.uniform(-jitter, jitter, 300)))
+    assert_matches_oracle(x, noisy_carrier(x, 3.3e3, seed=5), on_lattice=False)
+
+
+@pytest.mark.parametrize("sequence, noise, grid", [
+    (SequenceSpec("ramsey", 0, delta=2 * math.pi * 8.6e3),
+     dict(inhomogeneous=LightShiftDistribution(0.0, 3.0 / 1.4e-3)),
+     np.linspace(50e-6, 3e-3, 120)),
+    (SequenceSpec("spin_echo", 1, tau=5e-3, delta=2 * math.pi * 1.5e3),
+     dict(homogeneous=HomogeneousNoiseSpec.from_sigma_sig(27.6, 1)),
+     0.01 + np.linspace(-1.5e-3, 1.5e-3, 31)),
+    (SequenceSpec("cpmg", 6, tau=1e-3, delta=2 * math.pi * 1.5e3),
+     dict(homogeneous=HomogeneousNoiseSpec.from_sigma_sig(55.7, 6)),
+     0.012 + np.linspace(-0.8e-3, 2e-3, 200)),
+])
+def test_dominant_frequency_matches_projection_on_simulated_fringes(sequence, noise, grid):
+    cfg = ExperimentConfig(sequence=sequence, time_grid=tuple(grid), cycles_per_point=100,
+                           noise_draws=200, rng_seed=21, **noise)
+    dataset = simulate_dataset(cfg)
+    assert_matches_oracle(dataset.times, dataset.fractions)
+
+
+def test_dominant_frequency_memory_stays_linear():
+    # the full projection of this record would hold three 20000 x 3000 arrays (1.4 GB)
+    x = np.linspace(50e-6, 3e-3, 3000)
+    y = noisy_carrier(x, 8.6e3, seed=6)
+    dominant_frequency(x, y)   # load numpy.fft outside the measurement
+    tracemalloc.start()
+    try:
+        omega = dominant_frequency(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert omega == pytest.approx(2 * math.pi * 8.6e3, rel=0.01)
 
 
 def test_binomial_weights_floor():

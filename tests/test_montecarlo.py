@@ -1,6 +1,7 @@
 """Ensemble simulation: kernel equivalence, convergence to closed forms,
 measurement emulation, determinism, and the two-stage visibility pipeline."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -315,6 +316,36 @@ def test_json_round_trip():
     assert np.array_equal(back.successes, ds.successes)
     with pytest.raises(DataFormatError):
         FringeDataset.from_json("[1, 2, 3]")
+
+
+ROW = {"time_s": 0.001, "fraction": 0.5, "trials": 100, "successes": 50}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("time_s", math.nan),
+    ("time_s", math.inf),
+    ("trials", 0),
+    ("successes", 101),
+    ("successes", -1),
+])
+def test_json_rejects_bad_rows_naming_the_row(field, value):
+    rows = [ROW, dict(ROW, time_s=0.002), dict(ROW, time_s=0.003)]
+    rows[1][field] = value
+    with pytest.raises(DataFormatError, match="row 2"):
+        FringeDataset.from_json(json.dumps({"rows": rows}))
+
+
+def test_json_rejects_rows_missing_a_column():
+    rows = [ROW, {"time_s": 0.002, "trials": 100}]
+    with pytest.raises(DataFormatError, match="successes"):
+        FringeDataset.from_json(json.dumps({"rows": rows}))
+
+
+def test_constructor_shares_the_row_checks():
+    with pytest.raises(DataFormatError, match="row 3"):
+        FringeDataset(np.array([0.0, 1.0, np.nan]), np.array([1, 1, 1]), np.array([2, 2, 2]))
+    with pytest.raises(DataFormatError, match="row 1"):
+        FringeDataset(np.array([0.0, 1.0]), np.array([0, 1]), np.array([0, 2]))
 
 
 # ------------------------------------------------------- visibility scans
