@@ -93,6 +93,11 @@ class FitResult:
     ``params``/``errors`` are keyed by parameter name; errors follow
     ``error_convention``.  ``rss`` is the weighted residual sum of squares,
     ``cost_history`` the accepted-step costs (monotone non-increasing).
+    ``stop_reason`` says why ``fit_curve`` stopped: ``"gradient"`` or
+    ``"cost"`` (converged: the gradient norm or the relative cost drop fell
+    below its tolerance), ``"no_step"`` (no finite step lowered the cost by
+    damping 1e8) or ``"max_iterations"``; it is empty for a result built
+    elsewhere.
     """
 
     model: str
@@ -104,6 +109,7 @@ class FitResult:
     converged: bool
     n_points: int
     gradient_norm: float
+    stop_reason: str = ""
     cost_history: list[float] = field(default_factory=list)
     error_convention: str = ERROR_CONVENTION
 
@@ -123,6 +129,7 @@ class FitResult:
             "converged": self.converged,
             "n_points": self.n_points,
             "gradient_norm": self.gradient_norm,
+            "stop_reason": self.stop_reason,
             "error_convention": self.error_convention,
         }
 
@@ -184,8 +191,9 @@ def fit_curve(
     -------
     FitResult
         Best parameters found.  ``converged`` is False when the iteration cap
-        was hit or no finite step lowered the cost by damping 1e8; a NaN
-        model output raises FitError instead.
+        was hit (``stop_reason`` ``"max_iterations"``) or no finite step
+        lowered the cost by damping 1e8 (``"no_step"``); a NaN model output
+        raises FitError instead.
     """
     theta = np.asarray(initial, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -224,6 +232,7 @@ def fit_curve(
     history = [cost]
     damping = 0.0
     converged = False
+    stop_reason = "max_iterations"
     gradient_norm = math.inf
     iterations = 0
 
@@ -233,7 +242,7 @@ def fit_curve(
         gradient = design.T @ (sqrt_w * residuals)
         gradient_norm = float(np.linalg.norm(gradient))
         if gradient_norm < _GRAD_TOL:
-            converged = True
+            converged, stop_reason = True, "gradient"
             break
 
         normal = design.T @ design
@@ -256,13 +265,14 @@ def fit_curve(
             damping = max(damping * 10.0, 1e-4)
 
         if not accepted:
+            stop_reason = "no_step"
             break
         relative_drop = (cost - trial_cost) / max(cost, 1e-300)
         theta, cost, residuals = trial, trial_cost, trial_residuals
         history.append(cost)
         damping = 0.0 if damping < 1e-7 else damping / 10.0
         if relative_drop < _COST_TOL:
-            converged = True
+            converged, stop_reason = True, "cost"
             break
 
     jac = numeric_jacobian(curve, x, theta)
@@ -286,6 +296,7 @@ def fit_curve(
         converged=converged,
         n_points=len(data),
         gradient_norm=gradient_norm,
+        stop_reason=stop_reason,
         cost_history=history,
     )
 

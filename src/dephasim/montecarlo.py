@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -120,6 +121,36 @@ class ExperimentConfig:
                 )
 
 
+def _column(values, name: str, integral: bool) -> np.ndarray:
+    """One dataset column as float64 (or int64 when ``integral``).
+
+    Every cell must be a real number (not a bool or a string) and, when
+    ``integral``, a whole number within int64 range; otherwise a
+    DataFormatError names the first offending 1-based row.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        arr = np.atleast_1d(values)
+    else:
+        # Cell by cell on the original objects: np.asarray([1, True]) would
+        # already have turned the bool into 1.
+        cells = np.atleast_1d(np.asarray(values, dtype=object)).ravel().tolist()
+        real = [isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+                for v in cells]
+        if not all(real):
+            row = real.index(False)
+            raise DataFormatError(f"{name} must be a number; got {cells[row]!r}", row=row + 1)
+        arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if not integral:
+        return arr.astype(float)
+    if arr.dtype.kind == "f":
+        whole = (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
+        if not np.all(whole):
+            row = int(np.argmin(whole))
+            raise DataFormatError(f"{name} must be an integer; got {float(arr.flat[row])!r}",
+                                  row=row + 1)
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FringeDataset:
     """Rows of (time, successes, trials) emulating a measured fringe."""
@@ -129,9 +160,9 @@ class FringeDataset:
     trials: np.ndarray
 
     def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        successes = np.atleast_1d(np.asarray(self.successes, dtype=np.int64))
-        trials = np.atleast_1d(np.asarray(self.trials, dtype=np.int64))
+        times = _column(self.times, "time", integral=False)
+        successes = _column(self.successes, "successes", integral=True)
+        trials = _column(self.trials, "trials", integral=True)
         if not times.shape == successes.shape == trials.shape:
             raise DataFormatError("times, successes and trials must have equal length")
         rules = (
@@ -212,7 +243,7 @@ class FringeDataset:
             columns = [[r[key] for r in rows] for key in ("time_s", "successes", "trials")]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataFormatError(f"not a dataset JSON document: {exc}") from None
-        return FringeDataset(*map(np.array, columns))
+        return FringeDataset(*columns)
 
 
 # ---------------------------------------------------------- noise averages
@@ -358,7 +389,7 @@ def scan_visibility(
                 visibility=fit.params["visibility"],
                 error=fit.errors["visibility"],
                 ok=fit.converged,
-                message="" if fit.converged else "iteration cap reached",
+                message="" if fit.converged else f"fit stopped: {fit.stop_reason}",
             ))
         except FitError as exc:
             points.append(VisibilityPoint(

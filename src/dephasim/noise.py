@@ -11,6 +11,9 @@ Two noise channels drive the loss of fringe contrast:
   refocusing pulse.  The reduced statistics are independent zero-mean
   Gaussians with standard deviations sigma_i.
 
+The light shift is drawn by inversion, three uniforms and one logarithm per
+draw (``lightshift_sample``); the jumps enter a pulse sequence only through
+one weighted sum, drawn as one Gaussian per shot (``sample_jump_phase``).
 Both channels are sampled with explicitly passed numpy Generators; nothing
 here touches global RNG state.
 """
@@ -118,15 +121,27 @@ def lightshift_cdf(dist: LightShiftDistribution, delta_ls) -> np.ndarray | float
 def lightshift_sample(
     dist: LightShiftDistribution, rng: np.random.Generator, size: int | None = None
 ):
-    """Draw light-shift values: delta0 plus a sum of three exponential(eta) variates.
+    """Draw light-shift values delta0 + G, with G ~ Gamma(shape 3, rate eta), by inversion.
 
-    The three-exponential sum is exact for a shape-3 Gamma, avoiding any
-    rejection-sampling edge cases.  Returns a float for ``size=None``, else
-    an array of the given length.
+    A sum of three exponential(eta) variates is Gamma(3, eta), and each
+    exponential is -log(1 - U)/eta for a uniform U, so
+    G = -log((1 - U1)(1 - U2)(1 - U3))/eta: three uniforms and one
+    logarithm per draw.  ``rng.random`` gives U in [0, 1), so every factor
+    lies in (0, 1] and the product is at least 2**-159; the logarithm is
+    always finite, and U = 0 gives exactly delta0.  The uniforms come from
+    one ``rng.random((3, size))`` call (contiguous rows) and the product,
+    logarithm and scaling run in place in its first row.  Returns a float
+    for ``size=None``, else an array of the given length.
     """
-    shape = (3,) if size is None else (size, 3)
-    draws = rng.exponential(scale=1.0 / dist.eta, size=shape).sum(axis=-1)
-    return dist.delta0 + (float(draws) if size is None else draws)
+    u = rng.random((3, 1 if size is None else size))
+    np.subtract(1.0, u, out=u)
+    g = u[0]
+    g *= u[1]
+    g *= u[2]
+    np.log(g, out=g)
+    g *= -1.0 / dist.eta
+    g += dist.delta0
+    return float(g[0]) if size is None else g
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Optimizer behaviour, wrapper recovery at realistic statistics, calibration."""
 
+import json
 import math
 import threading
 import tracemalloc
@@ -155,6 +156,44 @@ def test_overflowing_normal_matrix_stops_at_start():
     fit = result["fit"]
     assert not fit.converged
     assert list(fit.params.values()) == [1e-170, 1e-170]
+
+
+def test_stop_reason_gradient_when_started_at_the_optimum():
+    x = np.linspace(0.0, 5.0, 11)
+    res = fit_curve(lambda t, th: th[0] * t + th[1], weighted_points(x, 2.0 * x + 1.0),
+                    [2.0, 1.0])
+    assert (res.converged, res.stop_reason, res.iterations) == (True, "gradient", 1)
+    assert json.loads(res.to_json())["stop_reason"] == "gradient"
+
+
+def test_stop_reason_cost_on_noisy_data():
+    # weights 1/0.02**2 keep the gradient norm far above its 1e-10 tolerance
+    # at the optimum, so the relative cost drop ends the fit
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 0.3, 30)
+    y = visibility_model(x, 0.7, 40.0, 2) + rng.normal(0.0, 0.02, x.size)
+    res = fit_curve(lambda t, th: visibility_model(t, th[0], th[1], 2),
+                    weighted_points(x, y, yerr=np.full(x.size, 0.02)), [0.4, 20.0])
+    assert (res.converged, res.stop_reason) == (True, "cost")
+    assert res.gradient_norm > 1e-10
+
+
+def test_stop_reason_max_iterations_at_the_cap():
+    t = np.arange(1, 53) * 1e-6
+    y = 0.5 - 0.45 * np.cos(OMEGA_RABI * t)
+    res = fit_curve(lambda tt, th: th[2] + th[1] * np.cos(th[0] * tt), weighted_points(t, y),
+                    [OMEGA_RABI * 1.3, 0.1, 0.4], max_iterations=2)
+    assert (res.converged, res.stop_reason, res.iterations) == (False, "max_iterations", 2)
+
+
+def test_stop_reason_no_step_when_every_step_is_rejected():
+    # design.T @ design overflows, so every trial step is non-finite and the
+    # damping loop runs out at 1e8
+    t = np.linspace(0.05, 1.0, 20)
+    with np.errstate(all="ignore"):
+        res = fit_curve(lambda tt, th: 1e160 * (th[0] + th[1]) * tt,
+                        weighted_points(t, 0.5 * t), [1e-170, 1e-170])
+    assert (res.converged, res.stop_reason) == (False, "no_step")
 
 
 def test_jacobian_matches_closed_form_derivatives():

@@ -158,6 +158,34 @@ def test_ramsey_ensemble_matches_characteristic_function():
         assert p == pytest.approx((1 - w) / 2, abs=0.01)
 
 
+@pytest.mark.parametrize("contrast, invert", [(1.0, False), (0.73, True)])
+def test_ramsey_ensemble_within_five_standard_errors_of_exact_oracle(contrast, invert):
+    # Phi = (delta - zeeman - delta0 - G) t with G ~ Gamma(3, eta), so
+    # E[cos Phi] = alpha(t) cos(a t + kappa(t)) with a = delta - zeeman - delta0,
+    # and E[cos 2 Phi] is the same at 2t.  Var[cos Phi] = (1 + E[cos 2 Phi])/2
+    # - E[cos Phi]**2 gives the standard error of the estimated fraction,
+    # contrast/2 * sqrt(Var/draws); the bound is 5 of them.
+    delta, zeeman, delta0 = 2 * math.pi * 2.4e3, 2 * math.pi * 350.0, 2 * math.pi * 600.0
+    draws = 100_000
+    cfg = ExperimentConfig(
+        sequence=SequenceSpec("ramsey", 0, delta=delta),
+        inhomogeneous=LightShiftDistribution(delta0, ETA),
+        time_grid=(1e-3,), noise_draws=draws, zeeman_shift=zeeman,
+        contrast=contrast, invert_fraction=invert,
+    )
+    rng = np.random.default_rng(12)
+    a = delta - zeeman - delta0
+
+    def mean_cos(t):
+        return envelope_alpha_exact(t, ETA) * math.cos(a * t + envelope_kappa_exact(t, ETA))
+
+    for t in (0.1e-3, 0.45e-3, 0.9e-3, 1.6e-3, 2.7e-3, 4.0e-3):
+        variance = (1 + mean_cos(2 * t)) / 2 - mean_cos(t) ** 2
+        se = contrast / 2 * math.sqrt(variance / draws)
+        exact = fraction_from_w(contrast * mean_cos(t), invert=invert)
+        assert abs(ensemble_probability(cfg, t, rng) - exact) <= 5 * se
+
+
 def test_lightshift_onset_shifts_the_fringe_phase():
     # a nonzero distribution onset delta0 acts as a carrier offset
     delta0 = 2 * math.pi * 300.0
@@ -339,6 +367,30 @@ def test_json_rejects_rows_missing_a_column():
     rows = [ROW, {"time_s": 0.002, "trials": 100}]
     with pytest.raises(DataFormatError, match="successes"):
         FringeDataset.from_json(json.dumps({"rows": rows}))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("time_s", "abc", "time must be a number; got 'abc'"),
+    ("time_s", None, "time must be a number"),
+    ("trials", 2.7, "trials must be an integer; got 2.7"),
+    ("trials", True, "trials must be a number; got True"),
+    ("successes", 50.5, "successes must be an integer"),
+    ("successes", False, "successes must be a number; got False"),
+])
+def test_json_rejects_non_numeric_and_non_integral_cells(field, value, message):
+    rows = [ROW, dict(ROW, time_s=0.002), dict(ROW, time_s=0.003)]
+    rows[1][field] = value
+    with pytest.raises(DataFormatError, match=f"row 2: {message}"):
+        FringeDataset.from_json(json.dumps({"rows": rows}))
+
+
+def test_constructor_rejects_bools_and_truncation():
+    with pytest.raises(DataFormatError, match="row 1: trials must be a number"):
+        FringeDataset(np.array([0.0]), np.array([0]), np.array([True]))
+    with pytest.raises(DataFormatError, match="row 2: trials must be an integer"):
+        FringeDataset([0.0, 1.0], [1, 1], [2.0, 2.5])
+    ds = FringeDataset([0.0, 1.0], [1, 2], [2.0, 4.0])
+    assert ds.trials.dtype == np.int64 and list(ds.trials) == [2, 4]
 
 
 def test_constructor_shares_the_row_checks():

@@ -1,5 +1,7 @@
 """Noise-source distributions and trace reduction."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,6 +77,54 @@ def test_sampling_matches_pdf_by_kolmogorov_smirnov():
     empirical_lo = np.arange(0, k) / k
     statistic = max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
     assert statistic < 0.01
+
+
+class ConstantUniforms:
+    """Generator stand-in whose ``random`` fills every cell with one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
+
+
+def test_zero_uniforms_give_exactly_the_onset():
+    stub = ConstantUniforms(0.0)
+    assert np.all(lightshift_sample(DIST, stub, size=7) == DIST.delta0)
+    assert lightshift_sample(DIST, stub) == DIST.delta0
+
+
+def test_largest_uniform_gives_a_finite_draw():
+    # every factor 1 - U is 2**-53, so G = 159*ln(2)/eta
+    stub = ConstantUniforms(1.0 - 2.0**-53)
+    expected = DIST.delta0 + 159 * math.log(2.0) / DIST.eta
+    draws = lightshift_sample(DIST, stub, size=4)
+    assert np.all(np.isfinite(draws))
+    assert draws == pytest.approx(np.full(4, expected), rel=1e-12)
+    assert lightshift_sample(DIST, stub) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sampler_inverts_three_uniforms_per_draw():
+    u = np.random.default_rng(208).random((3, 5))
+    expected = DIST.delta0 - np.log((1 - u[0]) * (1 - u[1]) * (1 - u[2])) / DIST.eta
+    draws = lightshift_sample(DIST, np.random.default_rng(208), size=5)
+    assert draws == pytest.approx(expected, rel=1e-13)
+    u = np.random.default_rng(208).random(3)
+    single = lightshift_sample(DIST, np.random.default_rng(208))
+    assert type(single) is float
+    assert single == pytest.approx(DIST.delta0 - np.log(np.prod(1 - u)) / DIST.eta, rel=1e-13)
+
+
+def test_sampling_within_dkw_bound_of_cdf():
+    # Dvoretzky-Kiefer-Wolfowitz: P(sup|F_n - F| > eps) <= 2 exp(-2 n eps**2),
+    # so eps = sqrt(ln(2/alpha) / (2n)) fails a correct sampler with
+    # probability at most alpha
+    n, alpha = 200_000, 1e-6
+    draws = np.sort(lightshift_sample(DIST, np.random.default_rng(209), size=n))
+    cdf = lightshift_cdf(DIST, draws)
+    statistic = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert statistic < math.sqrt(math.log(2 / alpha) / (2 * n))
 
 
 def test_eta_constructors():
