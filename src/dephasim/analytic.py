@@ -52,11 +52,7 @@ __all__ = [
     "t1_fraction",
     "fraction_from_w",
     "w_from_fraction",
-    "MODEL_NAMES",
 ]
-
-#: Names the fit module and CLI accept for model selection.
-MODEL_NAMES = ("ramsey", "echo_fringe", "cpmg_fringe", "visibility", "rabi", "t1")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -284,7 +285,7 @@ def cmd_simulate(args) -> int:
     config = build_experiment(doc)
     if not config.time_grid:
         raise ConfigError("time_grid_s", "simulate needs a time grid")
-    dataset = simulate_dataset(config, workers=args.workers)
+    dataset = simulate_dataset(config)
     base = args.output
     dataset.write_csv(f"{base}.csv")
     with open(f"{base}.json", "w", encoding="utf-8", newline="") as handle:
@@ -300,36 +301,31 @@ def cmd_simulate(args) -> int:
 
 _FIT_MODELS = tuple(sorted(FITTERS))
 
+#: Fitter parameter -> (argparse attribute, flag), in the order they are checked.
+_SEQUENCE_ARGS = {"tau": ("tau_s", "--tau-s"), "n": ("n", "--n")}
+
 
 def cmd_fit(args) -> int:
     if args.model not in FITTERS:
         raise ConfigError("model", f"unknown model {args.model!r}; valid: {', '.join(_FIT_MODELS)}")
+    fitter = FITTERS[args.model]
+    params = inspect.signature(fitter).parameters
+    kwargs = {}
+    for name, (attr, flag) in _SEQUENCE_ARGS.items():
+        if name in params and params[name].default is inspect.Parameter.empty:
+            if getattr(args, attr) is None:
+                raise ConfigError(attr, f"{args.model} fits need {flag}")
+            kwargs[name] = getattr(args, attr)
+    if "t2_star" in params:
+        if args.fit_t2_star:
+            kwargs["t2_star"] = None
+        elif args.t2_star_s is not None:
+            kwargs["t2_star"] = args.t2_star_s
     if args.model == "visibility":
-        if args.n is None:
-            raise ConfigError("n", "visibility fits need --n")
         points = read_visibility_csv(args.data)
-        result = fit_visibility_decay(points, n=args.n)
     else:
-        dataset = FringeDataset.read_csv(args.data)
-        points = dataset.points()
-        if args.model in ("rabi", "t1"):
-            result = FITTERS[args.model](points)
-        else:
-            kwargs = {}
-            if args.fit_t2_star:
-                kwargs["t2_star"] = None
-            elif args.t2_star_s is not None:
-                kwargs["t2_star"] = args.t2_star_s
-            if args.model == "ramsey":
-                result = FITTERS["ramsey"](points, **kwargs)
-            else:
-                if args.tau_s is None:
-                    raise ConfigError("tau_s", f"{args.model} fits need --tau-s")
-                if args.model == "cpmg_fringe":
-                    if args.n is None:
-                        raise ConfigError("n", "cpmg_fringe fits need --n")
-                    kwargs["n"] = args.n
-                result = FITTERS[args.model](points, tau=args.tau_s, **kwargs)
+        points = FringeDataset.read_csv(args.data).points()
+    result = fitter(points, **kwargs)
     _print_fit_result(result)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -405,9 +401,7 @@ def cmd_sweep_n(args) -> int:
         lo, hi = sweep["span"]
         predicted = t2_prime(n, sigma_sig)
         taus = predicted * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
-        points = scan_visibility(config, taus,
-                                 points_per_fringe=sweep["points_per_fringe"],
-                                 workers=args.workers)
+        points = scan_visibility(config, taus, points_per_fringe=sweep["points_per_fringe"])
         write_visibility_csv(f"{args.outdir}/visibility_n{n}.csv", points)
         usable = [p for p in points if p.ok]
         if len(usable) < 2:
@@ -462,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="synthesize a dataset from a config file")
     sim.add_argument("--config", required=True, help="JSON config path")
     sim.add_argument("--output", required=True, help="output basename (.csv/.json appended)")
-    sim.add_argument("--workers", type=int, default=1, help="parallel workers over grid points")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
     sim.set_defaults(func=cmd_simulate)
 
     fit = sub.add_parser("fit", help="fit a dataset CSV with a named model")
@@ -483,7 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=_parse_n_list, required=True,
                        help="comma-separated pulse numbers, e.g. 1,2,6")
     sweep.add_argument("--outdir", required=True, help="directory for per-n tables")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel workers per fringe")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     sweep.set_defaults(func=cmd_sweep_n)
     return parser
 

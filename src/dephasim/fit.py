@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -553,12 +554,15 @@ def fit_visibility_decay(points: list[WeightedPoint], n: int) -> FitResult:
     return result
 
 
-#: Name-addressable fitters for the CLI; options mirror the wrapper keywords.
+#: Model name -> fitter.  A fitter's signature states what the CLI must give
+#: it: its parameters without a default among ``tau`` and ``n`` are required
+#: (``--tau-s``, ``--n``), and ``t2_star`` takes ``--t2-star-s`` or
+#: ``--fit-t2-star``.
 FITTERS = {
     "rabi": fit_rabi,
     "t1": fit_t1,
-    "ramsey": lambda data, **kw: fit_fringe(data, n=0, tau=0.0, **kw),
-    "echo_fringe": lambda data, tau, **kw: fit_fringe(data, n=1, tau=tau, **kw),
-    "cpmg_fringe": lambda data, n, tau, **kw: fit_fringe(data, n=n, tau=tau, **kw),
-    "visibility": lambda data, n, **kw: fit_visibility_decay(data, n=n, **kw),
+    "ramsey": partial(fit_fringe, n=0, tau=0.0),
+    "echo_fringe": partial(fit_fringe, n=1),
+    "cpmg_fringe": fit_fringe,
+    "visibility": fit_visibility_decay,
 }

@@ -13,12 +13,13 @@ each cycle draws that sum directly (``noise.sample_jump_phase``) instead of
 one jump per pulse.  The mean of w over the draws goes through
 ``analytic.fraction_from_w`` with the fringe contrast, and finite measurement
 statistics are emulated by drawing successes from a binomial with
-``cycles_per_point`` trials.  ``simulate_point`` is the same path with one
-draw.
+``cycles_per_point`` trials.
 
-Reproducibility contract: every time-grid point derives its own random
-substream from ``(rng_seed, point index)``, so datasets are bit-identical
-across runs and across worker counts.
+Reproducibility contract: a dataset is one random stream,
+``np.random.default_rng(rng_seed)``.  The noise of each grid point is drawn
+from it in grid order, then all success counts in one binomial call, so the
+same config and seed give bit-identical datasets on every run.  A visibility
+scan keys one such stream per pulse spacing, from ``(rng_seed, row index)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import csv
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "FringeDataset",
     "VisibilityPoint",
-    "simulate_point",
     "ensemble_probability",
     "simulate_dataset",
     "binomial_dataset",
@@ -271,49 +270,20 @@ def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | N
     return fraction_from_w(config.contrast * w, invert=config.invert_fraction)
 
 
-def simulate_point(config: ExperimentConfig, t: float, rng) -> float:
-    """Success probability of a single experimental cycle (one noise draw).
-
-    Averaging many calls estimates the ensemble mean; with no noise
-    configured the value is deterministic.
-    """
-    return ensemble_probability(config, t, rng, draws=1)
-
-
 # ------------------------------------------------------------- datasets
 
 
-def _point_rng(seed: int, kind: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, index)))
-
-
-def _simulate_one(config: ExperimentConfig, index: int, t: float) -> tuple[float, int]:
-    noise_rng = _point_rng(config.rng_seed, 0, index)
-    p_hat = ensemble_probability(config, t, noise_rng)
-    shot_rng = _point_rng(config.rng_seed, 1, index)
-    return p_hat, int(shot_rng.binomial(config.cycles_per_point, p_hat))
-
-
-def simulate_dataset(config: ExperimentConfig, workers: int = 1) -> FringeDataset:
+def simulate_dataset(config: ExperimentConfig) -> FringeDataset:
     """Synthesize a binomially sampled dataset over the config's time grid.
 
-    Each grid point owns an RNG substream keyed by its index, so the output
-    is bit-identical for a given (config, seed) regardless of ``workers``.
+    One generator seeded by ``config.rng_seed`` draws the noise of every grid
+    point in grid order, then every success count in one binomial call.
     """
     if not config.time_grid:
         raise DomainError("config has an empty time grid")
-    times = np.asarray(config.time_grid, dtype=float)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda pair: _simulate_one(config, pair[0], pair[1]),
-                enumerate(times),
-            ))
-    else:
-        rows = [_simulate_one(config, i, t) for i, t in enumerate(times)]
-    successes = np.array([row[1] for row in rows], dtype=np.int64)
-    trials = np.full(times.shape, config.cycles_per_point, dtype=np.int64)
-    return FringeDataset(times, successes, trials)
+    rng = np.random.default_rng(config.rng_seed)
+    p_hat = [ensemble_probability(config, t, rng) for t in config.time_grid]
+    return binomial_dataset(config.time_grid, p_hat, config.cycles_per_point, rng)
 
 
 def binomial_dataset(times, probabilities, cycles: int, rng) -> FringeDataset:
@@ -345,7 +315,6 @@ def scan_visibility(
     tau_grid,
     points_per_fringe: int = 31,
     carrier_periods: float = 3.0,
-    workers: int = 1,
 ) -> list[VisibilityPoint]:
     """Two-stage visibility extraction over a grid of pulse spacings.
 
@@ -381,7 +350,7 @@ def scan_visibility(
             time_grid=tuple(grid),
             rng_seed=sub_seed,
         )
-        dataset = simulate_dataset(sub_config, workers=workers)
+        dataset = simulate_dataset(sub_config)
         try:
             fit = fit_fringe(dataset.points(), n=seq.n, tau=tau, t2_star=t2_star)
             points.append(VisibilityPoint(

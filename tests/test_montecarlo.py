@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from dephasim.analytic import (
     envelope_alpha_exact,
@@ -34,7 +35,6 @@ from dephasim.montecarlo import (
     ensemble_probability,
     scan_visibility,
     simulate_dataset,
-    simulate_point,
 )
 from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution
 
@@ -56,23 +56,23 @@ def test_no_noise_is_deterministic_and_exact():
     # Ramsey at zero detuning: perfect refocusing regardless of t
     cfg = ExperimentConfig(sequence=SequenceSpec("ramsey", 0, delta=0.0), time_grid=(1.0,))
     for t in (1e-4, 3.7e-3, 2.0):
-        assert simulate_point(cfg, t, rng) == fraction_from_w(1.0)
+        assert ensemble_probability(cfg, t, rng, draws=1) == fraction_from_w(1.0)
     # CPMG against the closed form
     seq = SequenceSpec("cpmg", 3, tau=2e-3, delta=2 * math.pi * 400.0)
     cfg = ExperimentConfig(sequence=seq, time_grid=(0.0123,))
     t = 0.0123
     expected = fraction_from_w(w_cpmg(seq.delta, seq.tau, seq.n, t))
-    assert simulate_point(cfg, t, rng) == pytest.approx(expected, abs=1e-12)
+    assert ensemble_probability(cfg, t, rng, draws=1) == pytest.approx(expected, abs=1e-12)
     assert ensemble_probability(cfg, t, rng) == pytest.approx(expected, abs=1e-12)
     # identical on repeated calls: no randomness consumed
-    assert simulate_point(cfg, t, rng) == simulate_point(cfg, t, rng)
+    assert ensemble_probability(cfg, t, rng, draws=1) == ensemble_probability(cfg, t, rng, draws=1)
 
 
 def test_invalid_readout_time_rejected():
     cfg = echo_config()
     rng = np.random.default_rng(1)
     with pytest.raises(DomainError):
-        simulate_point(cfg, 2e-3, rng)      # before the refocusing pulse
+        ensemble_probability(cfg, 2e-3, rng, draws=1)   # before the refocusing pulse
     with pytest.raises(DomainError):
         ensemble_probability(cfg, 2e-3, rng)
 
@@ -124,9 +124,11 @@ def test_contrast_and_inversion_flow_through():
     t = 4e-4
     w = math.cos(seq.delta * t)
     cfg = ExperimentConfig(sequence=seq, time_grid=(t,), contrast=0.6)
-    assert simulate_point(cfg, t, rng) == pytest.approx((1 - 0.6 * w) / 2, abs=1e-12)
+    assert ensemble_probability(cfg, t, rng, draws=1) == \
+        pytest.approx((1 - 0.6 * w) / 2, abs=1e-12)
     cfg = ExperimentConfig(sequence=seq, time_grid=(t,), contrast=0.6, invert_fraction=True)
-    assert simulate_point(cfg, t, rng) == pytest.approx((1 + 0.6 * w) / 2, abs=1e-12)
+    assert ensemble_probability(cfg, t, rng, draws=1) == \
+        pytest.approx((1 + 0.6 * w) / 2, abs=1e-12)
 
 
 def test_zeeman_shift_offsets_the_carrier():
@@ -136,7 +138,7 @@ def test_zeeman_shift_offsets_the_carrier():
     rng = np.random.default_rng(4)
     t = 7e-4
     expected = (1 - math.cos((seq.delta - shift) * t)) / 2
-    assert simulate_point(cfg, t, rng) == pytest.approx(expected, abs=1e-12)
+    assert ensemble_probability(cfg, t, rng, draws=1) == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------ ensemble averages
@@ -225,13 +227,58 @@ def test_dataset_deterministic_across_runs_and_workers():
         time_grid=tuple(0.01 + np.linspace(-1e-3, 1e-3, 15)),
         rng_seed=99, noise_draws=2000,
     )
-    first = simulate_dataset(cfg, workers=1)
-    again = simulate_dataset(cfg, workers=1)
-    threaded = simulate_dataset(cfg, workers=4)
+    first = simulate_dataset(cfg)
+    again = simulate_dataset(cfg)
     assert np.array_equal(first.successes, again.successes)
-    assert np.array_equal(first.successes, threaded.successes)
     other = simulate_dataset(replace(cfg, rng_seed=100))
     assert not np.array_equal(first.successes, other.successes)
+
+
+def test_dataset_is_one_stream_keyed_by_the_seed():
+    # noise for each grid point in grid order, then one binomial call
+    cfg = echo_config(
+        inhomogeneous=LightShiftDistribution(0.0, ETA),
+        homogeneous=HomogeneousNoiseSpec(np.array([40.0])),
+        time_grid=tuple(0.01 + np.linspace(-1e-3, 1e-3, 9)),
+        rng_seed=31, noise_draws=500, cycles_per_point=150,
+    )
+    rng = np.random.default_rng(cfg.rng_seed)
+    p_hat = [ensemble_probability(cfg, t, rng) for t in cfg.time_grid]
+    reference = rng.binomial(cfg.cycles_per_point, p_hat)
+    dataset = simulate_dataset(cfg)
+    assert np.array_equal(dataset.successes, reference)
+    assert np.array_equal(dataset.times, cfg.time_grid)
+    assert np.all(dataset.trials == cfg.cycles_per_point)
+
+
+def test_ramsey_dataset_counts_pass_chi_square_against_exact_moments():
+    # The README Ramsey config.  Each count is binomial given the estimated
+    # fraction p_hat = (1 - c m)/2, m the mean of D cosines, so
+    # E[k] = N p and Var[k] = N p (1 - p) + N (N - 1) Var[p_hat], with
+    # p = E[p_hat] from the exact Gamma characteristic function and
+    # Var[p_hat] = c**2/4 * Var[cos Phi]/D as in the 5-SE test above.  The
+    # points are independent, so the sum of squared standardized counts is
+    # chi-square with one degree of freedom per point; two-sided, alpha = 1e-6.
+    delta, contrast = 2 * math.pi * 8600.0, 0.9
+    cfg = ExperimentConfig(
+        sequence=SequenceSpec("ramsey", 0, delta=delta),
+        inhomogeneous=LightShiftDistribution.from_t2_star(0.0014),
+        cycles_per_point=200, time_grid=tuple(np.linspace(5e-5, 0.003, 120)),
+        rng_seed=19, contrast=contrast,
+    )
+    eta, draws, trials = cfg.inhomogeneous.eta, cfg.noise_draws, cfg.cycles_per_point
+    t = np.array(cfg.time_grid)
+
+    def mean_cos(t):
+        return envelope_alpha_exact(t, eta) * np.cos(delta * t + envelope_kappa_exact(t, eta))
+
+    p = fraction_from_w(contrast * mean_cos(t))
+    var_p_hat = contrast**2 / 4 * ((1 + mean_cos(2 * t)) / 2 - mean_cos(t) ** 2) / draws
+    variance = trials * p * (1 - p) + trials * (trials - 1) * var_p_hat
+    counts = simulate_dataset(cfg).successes
+    statistic = float(np.sum((counts - trials * p) ** 2 / variance))
+    alpha = 1e-6
+    assert chi2.ppf(alpha / 2, t.size) <= statistic <= chi2.isf(alpha / 2, t.size)
 
 
 def test_binomial_variance_calibration():
