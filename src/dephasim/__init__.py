@@ -2,46 +2,20 @@
 
 The package covers the standard free-evolution experiments on one qubit:
 Ramsey interferometry, spin echo, and multi-pulse CPMG dynamical decoupling.
-It provides exact Bloch-vector propagation, closed-form fringe and
-visibility models for shifted-Gamma inhomogeneous dephasing and Gaussian
-homogeneous dephasing, Monte Carlo synthesis of finite-cycle datasets, and
-damped least-squares fitting to recover the underlying parameters.
+It provides closed-form phase propagation (checked against exact
+Bloch-vector products), closed-form fringe and visibility models for
+shifted-Gamma inhomogeneous dephasing and Gaussian homogeneous dephasing,
+Monte Carlo synthesis of finite-cycle datasets, and damped least-squares
+fitting to recover the underlying parameters.
+
+The top level re-exports the names of the documented workflow: configure an
+experiment, simulate or scan it, and fit the result.  Every other public name
+is imported from its own module (``dephasim.bloch``, ``dephasim.noise``,
+``dephasim.analytic``, ``dephasim.montecarlo``, ``dephasim.fit``).
 """
 
-from .analytic import (
-    FringeModelParams,
-    RelaxationModelParams,
-    VisibilityModelParams,
-    envelope_alpha,
-    envelope_alpha_exact,
-    envelope_kappa,
-    envelope_kappa_exact,
-    fraction_from_w,
-    fringe_inhomogeneous,
-    homogeneous_factor,
-    rabi_fraction,
-    rabi_period,
-    rabi_pi_half_time,
-    t1_fraction,
-    t2_prime,
-    visibility_cpmg,
-    visibility_spin_echo,
-    w_from_fraction,
-)
-from .bloch import (
-    INITIAL_STATE,
-    SEQUENCE_KINDS,
-    BlochVector,
-    SegmentDetunings,
-    SequenceSpec,
-    evolve_cpmg,
-    evolve_cpmg_perturbed,
-    free_precession,
-    rotate_pi,
-    rotate_pi_half,
-    w_cpmg,
-    w_cpmg_perturbed,
-)
+from .analytic import t2_prime
+from .bloch import SequenceSpec
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -52,15 +26,11 @@ from .errors import (
 from .fit import (
     FITTERS,
     FitResult,
-    WeightedPoint,
-    binomial_weights,
-    dominant_frequency,
     fit_curve,
     fit_fringe,
     fit_rabi,
     fit_t1,
     fit_visibility_decay,
-    numeric_jacobian,
     points_from_counts,
     weighted_points,
 )
@@ -68,90 +38,35 @@ from .montecarlo import (
     ExperimentConfig,
     FringeDataset,
     VisibilityPoint,
-    binomial_dataset,
-    ensemble_probability,
     scan_visibility,
     simulate_dataset,
 )
-from .noise import (
-    T2_STAR_PER_ETA,
-    DetuningTrace,
-    HomogeneousNoiseSpec,
-    LightShiftDistribution,
-    lightshift_cdf,
-    lightshift_pdf,
-    lightshift_sample,
-    reduce_trace,
-    sample_detuning_differences,
-    white_piecewise_trace,
-)
+from .noise import HomogeneousNoiseSpec, LightShiftDistribution
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector",
     "ConfigError",
     "DataFormatError",
     "DephasimError",
-    "DetuningTrace",
     "DomainError",
     "ExperimentConfig",
     "FITTERS",
     "FitError",
     "FitResult",
     "FringeDataset",
-    "FringeModelParams",
     "HomogeneousNoiseSpec",
-    "INITIAL_STATE",
     "LightShiftDistribution",
-    "RelaxationModelParams",
-    "SEQUENCE_KINDS",
-    "SegmentDetunings",
     "SequenceSpec",
-    "T2_STAR_PER_ETA",
-    "VisibilityModelParams",
     "VisibilityPoint",
-    "WeightedPoint",
-    "binomial_dataset",
-    "binomial_weights",
-    "dominant_frequency",
-    "ensemble_probability",
-    "envelope_alpha",
-    "envelope_alpha_exact",
-    "envelope_kappa",
-    "envelope_kappa_exact",
-    "evolve_cpmg",
-    "evolve_cpmg_perturbed",
     "fit_curve",
     "fit_fringe",
     "fit_rabi",
     "fit_t1",
     "fit_visibility_decay",
-    "fraction_from_w",
-    "free_precession",
-    "fringe_inhomogeneous",
-    "homogeneous_factor",
-    "lightshift_cdf",
-    "lightshift_pdf",
-    "lightshift_sample",
-    "numeric_jacobian",
     "points_from_counts",
-    "rabi_fraction",
-    "rabi_period",
-    "rabi_pi_half_time",
-    "reduce_trace",
-    "rotate_pi",
-    "rotate_pi_half",
-    "sample_detuning_differences",
     "scan_visibility",
     "simulate_dataset",
-    "t1_fraction",
     "t2_prime",
-    "visibility_cpmg",
-    "visibility_spin_echo",
-    "w_cpmg",
-    "w_cpmg_perturbed",
-    "w_from_fraction",
     "weighted_points",
-    "white_piecewise_trace",
 ]

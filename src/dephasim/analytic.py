@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import _check_timing
 from .errors import DomainError
 
 __all__ = [
@@ -42,13 +43,10 @@ __all__ = [
     "envelope_alpha_exact",
     "envelope_kappa_exact",
     "fringe_inhomogeneous",
-    "visibility_spin_echo",
     "visibility_cpmg",
     "homogeneous_factor",
     "t2_prime",
     "rabi_fraction",
-    "rabi_period",
-    "rabi_pi_half_time",
     "t1_fraction",
     "fraction_from_w",
     "w_from_fraction",
@@ -74,10 +72,7 @@ class FringeModelParams:
     def __post_init__(self):
         if not self.t2_star > 0:
             raise DomainError(f"t2_star must be positive, got {self.t2_star}")
-        if self.n < 0:
-            raise DomainError(f"pulse count must be >= 0, got {self.n}")
-        if self.n >= 1 and not self.tau > 0:
-            raise DomainError(f"tau must be positive for n >= 1, got {self.tau}")
+        _check_timing(self.tau, self.n)
 
 
 @dataclass(frozen=True)
@@ -154,13 +149,7 @@ def fringe_inhomogeneous(t, params: FringeModelParams):
     before the last refocusing pulse (or negative times for n = 0) are
     rejected.
     """
-    t_arr = np.asarray(t, dtype=float)
-    earliest = (2 * params.n - 1) * params.tau if params.n >= 1 else 0.0
-    if np.any(t_arr < earliest):
-        raise DomainError(
-            f"readout time violates t >= {earliest} (minimum given: {t_arr.min()})"
-        )
-    x = t_arr - 2 * params.n * params.tau
+    x = _check_timing(params.tau, params.n, t) - 2 * params.n * params.tau
     phase = params.delta_prime * x
     if params.include_kappa:
         phase = phase + envelope_kappa(x, params.t2_star)
@@ -175,11 +164,6 @@ def visibility_cpmg(t, params: VisibilityModelParams):
         raise DomainError("total time t must be >= 0")
     exponent = -0.5 * (t_arr / (2 * params.n)) ** 2 * params.sigma_sig**2
     return _scalar_or_array(t, params.c0 * np.exp(exponent))
-
-
-def visibility_spin_echo(t, c0: float, sigma_sig: float):
-    """Single-echo visibility decay; the n = 1 case of visibility_cpmg."""
-    return visibility_cpmg(t, VisibilityModelParams(c0=c0, sigma_sig=sigma_sig, n=1))
 
 
 def homogeneous_factor(tau: float, sigmas) -> float:
@@ -225,18 +209,6 @@ def rabi_fraction(t, omega_r: float, contrast: float, offset: float):
     return _scalar_or_array(t, offset + contrast * np.cos(omega_r * t_arr))
 
 
-def rabi_period(omega_r: float) -> float:
-    """Oscillation period 2*pi/omega_r."""
-    if not omega_r > 0:
-        raise DomainError(f"omega_r must be positive, got {omega_r}")
-    return 2.0 * math.pi / omega_r
-
-
-def rabi_pi_half_time(omega_r: float) -> float:
-    """Quarter-period pulse duration (pi/2)/omega_r."""
-    return 0.25 * rabi_period(omega_r)
-
-
 def t1_fraction(t, params: RelaxationModelParams):
     """Relaxation model equilibrium + amplitude*exp(-t/T1)."""
     t_arr = np.asarray(t, dtype=float)
@@ -261,9 +233,12 @@ def fraction_from_w(w, invert: bool = False):
     if np.any(np.abs(arr) > 1.0 + _W_TOLERANCE):
         bad = arr[np.abs(arr) > 1.0 + _W_TOLERANCE]
         raise DomainError(f"w outside [-1, 1]: {bad.flat[0]}")
-    arr = np.clip(arr, -1.0, 1.0)
-    out = (1.0 + arr) / 2.0 if invert else (1.0 - arr) / 2.0
-    return _scalar_or_array(w, out)
+    return _scalar_or_array(w, _readout(np.clip(arr, -1.0, 1.0), invert))
+
+
+def _readout(w, invert: bool):
+    """The readout map (1 - w)/2, or (1 + w)/2 when ``invert``; w is not range-checked."""
+    return (1.0 + w) / 2.0 if invert else (1.0 - w) / 2.0
 
 
 def w_from_fraction(fraction, invert: bool = False):

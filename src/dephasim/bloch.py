@@ -21,10 +21,11 @@ refocuses everything except the interval x, and at the echo time
 t = 2*n*tau the fringe reaches (-1)**n for any delta; with jumps exactly the
 weighted jumps survive at the echo.
 
-``accumulated_phase`` evaluates Phi for whole batches of draws; ``w_cpmg`` and
-``w_cpmg_perturbed`` are its special cases.  The explicit matrix products in
-``evolve_cpmg`` and ``evolve_cpmg_perturbed`` are kept as the oracle the closed
-form is tested against.
+``accumulated_phase`` evaluates Phi for whole batches of draws.  The explicit
+matrix products in ``evolve_cpmg`` and ``evolve_cpmg_perturbed`` are kept as
+the oracle the closed form is tested against.  ``_check_timing`` is the one
+place that enforces the timing rule: n is an integer >= 0, tau > 0 when
+n >= 1, and t >= (2n-1)*tau (t >= 0 for Ramsey).
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "evolve_cpmg_perturbed",
     "jump_weights",
     "accumulated_phase",
-    "w_cpmg",
-    "w_cpmg_perturbed",
 ]
 
 
@@ -110,21 +109,13 @@ class SequenceSpec:
             raise DomainError(
                 f"unknown sequence kind {self.kind!r}; expected one of {SEQUENCE_KINDS}"
             )
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise DomainError(f"pulse count n must be an integer, got {self.n!r}")
+        _check_timing(self.tau, self.n, self.t)
         if self.kind == "ramsey" and self.n != 0:
             raise DomainError(f"ramsey sequence requires n = 0, got n = {self.n}")
         if self.kind == "spin_echo" and self.n != 1:
             raise DomainError(f"spin_echo sequence requires n = 1, got n = {self.n}")
         if self.kind == "cpmg" and self.n < 1:
             raise DomainError(f"cpmg sequence requires n >= 1, got n = {self.n}")
-        if self.n >= 1 and not self.tau > 0.0:
-            raise DomainError(f"tau must be positive for n >= 1, got tau = {self.tau}")
-        if self.t is not None and self.t < self.earliest_readout:
-            raise DomainError(
-                f"readout time t = {self.t} violates t >= (2n-1)*tau = "
-                f"{self.earliest_readout} (readout before the last refocusing pulse)"
-            )
 
     @property
     def earliest_readout(self) -> float:
@@ -135,11 +126,6 @@ class SequenceSpec:
     def echo_time(self) -> float:
         """Refocusing time 2*n*tau (equals 0 for Ramsey)."""
         return 2 * self.n * self.tau
-
-    @property
-    def pulse_times(self) -> np.ndarray:
-        """Times of the half-turn pulses, (2i-1)*tau for i = 1..n."""
-        return (2 * np.arange(1, self.n + 1) - 1) * self.tau
 
 
 @dataclass(frozen=True)
@@ -276,21 +262,14 @@ def evolve_cpmg_perturbed(
     -------
     BlochVector
     """
-    if n < 1:
-        raise DomainError(f"perturbed evolution requires n >= 1, got n = {n}")
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if seg.n != n:
+    _check_timing(tau, n, t)
+    if seg.n != n:  # seg.n >= 1, so this also rejects n = 0
         raise DomainError(
             f"segment detunings describe {seg.n} intervals but the sequence has n = {n}"
         )
     if t is None:
         t = 2 * n * tau
     last_pulse = (2 * n - 1) * tau
-    if t < last_pulse:
-        raise DomainError(
-            f"readout time t = {t} violates t >= (2n-1)*tau = {last_pulse}"
-        )
     U = rotate_pi_half(INITIAL_STATE)
     for i in range(n):
         U = free_precession(U, seg.base[i], tau)
@@ -300,18 +279,22 @@ def evolve_cpmg_perturbed(
     return rotate_pi_half(U)
 
 
-def _check_timing(tau: float, n: int, t) -> np.ndarray:
+def _check_timing(tau: float, n: int, t=None):
+    """Enforce the timing rule; return t as a float array (None when t is None)."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"pulse count n must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"pulse count n must be >= 0, got {n}")
     if n >= 1 and not tau > 0:
         raise DomainError(f"tau must be positive for n >= 1, got {tau}")
+    if t is None:
+        return None
     t = np.asarray(t, dtype=float)
     earliest = (2 * n - 1) * tau if n >= 1 else 0.0
-    if np.any(t < earliest):
+    if (t < earliest).any():
         raise DomainError(
-            f"readout time violates t >= (2n-1)*tau = {earliest} (minimum t given: {t.min()})"
+            f"readout time violates t >= (2n-1)*tau = {earliest} (minimum t given: {t.min()}; "
+            "readout before the last refocusing pulse)"
         )
     return t
 
@@ -359,36 +342,3 @@ def accumulated_phase(delta_eff, tau: float, n: int, t, jumps=None):
         phase = phase + arr @ jump_weights(tau, n, float(t_arr))
     return phase
 
-
-def w_cpmg(delta: float, tau: float, n: int, t):
-    """Closed-form fringe of the unperturbed sequence.
-
-    Returns (-1)**n * cos(delta * (t - 2*n*tau)); accepts a scalar or an
-    array of readout times t (all must satisfy t >= (2n-1)*tau).
-    """
-    out = (-1.0) ** n * np.cos(accumulated_phase(delta, tau, n, t))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def w_cpmg_perturbed(tau: float, n: int, jumps):
-    """Closed-form fringe at the echo time with per-interval detuning jumps.
-
-    Returns (-1)**n * cos(tau * sum_i (-1)**(n-i) * jumps[i]) where i runs
-    from 1 to n over the last axis of ``jumps``.  Only the jumps enter: the
-    per-interval base detunings refocus completely at t = 2*n*tau.
-
-    Parameters
-    ----------
-    tau : float
-    n : int
-        Number of half-turn pulses (>= 1).
-    jumps : array-like, shape (..., n)
-        Detuning change across each pulse, rad/s.  Leading axes broadcast,
-        so a batch of draws evaluates in one call.
-    """
-    if n < 1:
-        raise DomainError(f"perturbed fringe requires n >= 1, got n = {n}")
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    out = (-1.0) ** n * np.cos(accumulated_phase(0.0, tau, n, 2 * n * tau, jumps))
-    return float(out) if out.ndim == 0 else out

@@ -75,6 +75,14 @@ def _get(doc: dict, key: str, path: str, kind, required=False, default=None):
     raise AssertionError(f"unsupported kind {kind}")
 
 
+def _count(doc: dict, key: str, path: str, required=False, default=None) -> int:
+    """Read a count (grid size, cycles, draws): an integer >= 1."""
+    value = _get(doc, key, path, int, required=required, default=default)
+    if value < 1:
+        raise ConfigError(f"{path}.{key}" if path else key, f"must be >= 1, got {value}")
+    return value
+
+
 def _frequency(doc: dict, key: str, path: str, required=False, default=0.0) -> float:
     """Read a frequency object and return rad/s."""
     if key not in doc:
@@ -140,13 +148,13 @@ def _parse_time_grid(doc: dict, sequence: SequenceSpec) -> tuple[float, ...]:
     if "half_span_s" in grid:
         _check_keys(grid, {"half_span_s", "points"}, "time_grid_s")
         half = _get(grid, "half_span_s", "time_grid_s", float, required=True)
-        points = _get(grid, "points", "time_grid_s", int, required=True)
+        points = _count(grid, "points", "time_grid_s", required=True)
         center = sequence.echo_time
         return tuple(center + np.linspace(-half, half, points))
     _check_keys(grid, {"start_s", "stop_s", "points"}, "time_grid_s")
     start = _get(grid, "start_s", "time_grid_s", float, required=True)
     stop = _get(grid, "stop_s", "time_grid_s", float, required=True)
-    points = _get(grid, "points", "time_grid_s", int, required=True)
+    points = _count(grid, "points", "time_grid_s", required=True)
     return tuple(np.linspace(start, stop, points))
 
 
@@ -200,8 +208,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         sequence=sequence,
         inhomogeneous=_parse_inhomogeneous(doc),
         homogeneous=_parse_homogeneous(doc, sequence),
-        cycles_per_point=_get(doc, "cycles_per_point", "", int, default=100),
-        noise_draws=_get(doc, "noise_draws", "", int, default=4096),
+        cycles_per_point=_count(doc, "cycles_per_point", "", default=100),
+        noise_draws=_count(doc, "noise_draws", "", default=4096),
         time_grid=_parse_time_grid(doc, sequence),
         rng_seed=_get(doc, "rng_seed", "", int, default=0),
         zeeman_shift=_frequency(doc, "zeeman_shift", ""),
@@ -343,8 +351,10 @@ def _parse_sweep_section(doc: dict) -> dict:
                 "sweep")
     span = section.get("span_t2_prime", [0.15, 1.1])
     if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in span)):
-        raise ConfigError("sweep.span_t2_prime", "expected [low, high] multiples of T2'")
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+                       for x in span)):
+        raise ConfigError("sweep.span_t2_prime",
+                          f"expected [low, high] positive multiples of T2', got {span!r}")
     rows = _get(section, "rows", "sweep", dict, default={})
     parsed_rows = {}
     for key, row in rows.items():
@@ -361,9 +371,9 @@ def _parse_sweep_section(doc: dict) -> dict:
             "contrast": _get(row, "contrast", where, float, default=1.0),
         }
     return {
-        "tau_points": _get(section, "tau_points", "sweep", int, default=10),
+        "tau_points": _count(section, "tau_points", "sweep", default=10),
         "span": (float(span[0]), float(span[1])),
-        "points_per_fringe": _get(section, "points_per_fringe", "sweep", int, default=31),
+        "points_per_fringe": _count(section, "points_per_fringe", "sweep", default=31),
         "rows": parsed_rows,
     }
 

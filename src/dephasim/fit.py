@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import envelope_alpha, envelope_kappa, t2_prime
+from .analytic import _readout, envelope_alpha, envelope_kappa, t2_prime
 from .errors import FitError
 
 __all__ = [
@@ -452,8 +452,7 @@ def _fringe_curve_factory(n: int, tau: float, t2_star, include_kappa: bool, inve
         phase = theta[1] * x + theta[2]
         if include_kappa:
             phase = phase + envelope_kappa(x, scale)
-        w = theta[0] * sign * envelope_alpha(x, scale) * np.cos(phase)
-        return (1.0 + w) / 2.0 if invert else (1.0 - w) / 2.0
+        return _readout(theta[0] * sign * envelope_alpha(x, scale) * np.cos(phase), invert)
 
     return curve
 

@@ -34,7 +34,6 @@ __all__ = [
     "lightshift_pdf",
     "lightshift_cdf",
     "lightshift_sample",
-    "sample_detuning_differences",
     "sample_jump_phase",
     "reduce_trace",
     "white_piecewise_trace",
@@ -184,17 +183,6 @@ class HomogeneousNoiseSpec:
         if n < 1:
             raise DomainError(f"need at least one interval, got n = {n}")
         return HomogeneousNoiseSpec(np.full(n, sigma_sig / np.sqrt(n)))
-
-
-def sample_detuning_differences(
-    spec: HomogeneousNoiseSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Draw the per-pulse detuning jumps: independent N(0, sigma_i**2).
-
-    Returns shape (n,) for ``size=None``, else (size, n).
-    """
-    shape = (spec.n,) if size is None else (size, spec.n)
-    return rng.normal(0.0, 1.0, size=shape) * spec.sigmas
 
 
 def sample_jump_phase(

@@ -8,19 +8,29 @@ from dephasim.bloch import (
     BlochVector,
     SegmentDetunings,
     SequenceSpec,
+    accumulated_phase,
     evolve_cpmg,
     evolve_cpmg_perturbed,
     free_precession,
+    jump_weights,
     rotate_pi,
     rotate_pi_half,
-    w_cpmg,
-    w_cpmg_perturbed,
 )
 from dephasim.errors import DomainError
 
 
 def vec(u, v, w):
     return BlochVector(u, v, w)
+
+
+def w_cpmg(delta, tau, n, t, jumps=None):
+    """Readout w = (-1)**n * cos(Phi) from the production phase kernel."""
+    return (-1.0) ** n * np.cos(accumulated_phase(delta, tau, n, t, jumps))
+
+
+def w_cpmg_perturbed(tau, n, jumps):
+    """The kernel at the echo time t = 2*n*tau, where only the jumps survive."""
+    return w_cpmg(0.0, tau, n, 2 * n * tau, jumps)
 
 
 # ---------------------------------------------------------------- pulses
@@ -117,7 +127,8 @@ def test_sequence_spec_rejects_readout_before_last_pulse():
     spec = SequenceSpec("cpmg", 3, tau=1e-3, t=5e-3)  # exactly (2n-1)*tau is allowed
     assert spec.earliest_readout == pytest.approx(5e-3)
     assert spec.echo_time == pytest.approx(6e-3)
-    assert spec.pulse_times == pytest.approx([1e-3, 3e-3, 5e-3])
+    # pulses at (2i-1)*tau: read out at the last one, the last jump has no weight
+    assert jump_weights(spec.tau, spec.n, spec.t) == pytest.approx([1e-3, -1e-3, 0.0], abs=1e-15)
 
 
 # ---------------------------------------------------------------- ideal evolution

@@ -198,6 +198,39 @@ def test_simulate_without_time_grid_exits_2(tmp_path):
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time_grid_s.points", -1),
+    ("time_grid_s.points", 0),
+    ("cycles_per_point", 0),
+    ("noise_draws", -5),
+])
+def test_simulate_non_positive_count_exits_2_naming_key(tmp_path, capsys, key, value):
+    doc = ramsey_doc()
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    config = write_config(tmp_path / "cfg.json", doc)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "x")]) == 2
+    assert f"error: {key}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau_points", -2),
+    ("points_per_fringe", 0),
+    ("span_t2_prime", [0.0, 1.1]),
+    ("span_t2_prime", [0.15, -1.0]),
+])
+def test_sweep_non_positive_size_or_span_exits_2_naming_key(tmp_path, capsys, monkeypatch,
+                                                          key, value):
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    doc = sweep_doc(sigma_sig=40.0)
+    doc["sweep"][key] = value
+    config = write_config(tmp_path / "cfg.json", doc)
+    rc = main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert f"error: sweep.{key}: " in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["fit"]) == 2

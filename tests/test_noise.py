@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dephasim.bloch import SegmentDetunings
+from dephasim.bloch import SegmentDetunings, jump_weights
 from dephasim.errors import DomainError
 from dephasim.noise import (
     DetuningTrace,
@@ -16,7 +16,7 @@ from dephasim.noise import (
     lightshift_pdf,
     lightshift_sample,
     reduce_trace,
-    sample_detuning_differences,
+    sample_jump_phase,
     white_piecewise_trace,
 )
 
@@ -150,21 +150,27 @@ def test_eta_constructors():
 def test_zero_sigmas_give_zero_jumps():
     spec = HomogeneousNoiseSpec(np.zeros(4))
     rng = np.random.default_rng(203)
-    assert np.all(sample_detuning_differences(spec, rng) == 0.0)
+    assert sample_jump_phase(spec, 1e-3, 7.5e-3, rng) == 0.0
+    assert np.all(sample_jump_phase(spec, 1e-3, 7.5e-3, rng, size=10) == 0.0)
     assert spec.sigma_sig == 0.0
 
 
 def test_jump_statistics_match_spec():
+    # n = 3 read out off the echo (t = 5.5 tau): weights (tau, -tau, tau/2).
+    # tau = 1 s puts the phase on the scale of the jumps themselves: std
+    # sqrt(10**2 + 25**2 + 20**2) = 33.5, so with 10**6 draws the std bound
+    # is 7 standard errors and the mean bound of 0.2 is 6.
     sigmas = np.array([10.0, 25.0, 40.0])
     spec = HomogeneousNoiseSpec(sigmas)
+    tau, t = 1.0, 5.5
+    scale = np.sqrt(np.sum((jump_weights(tau, 3, t) * sigmas) ** 2))
     rng = np.random.default_rng(204)
-    draws = sample_detuning_differences(spec, rng, size=1_000_000)
-    assert draws.shape == (1_000_000, 3)
-    assert np.std(draws, axis=0) == pytest.approx(sigmas, rel=0.005)
-    assert np.mean(draws, axis=0) == pytest.approx([0.0, 0.0, 0.0], abs=0.2)
-    corr = np.corrcoef(draws, rowvar=False)
-    off_diagonal = corr[~np.eye(3, dtype=bool)]
-    assert np.all(np.abs(off_diagonal) < 0.005)
+    draws = sample_jump_phase(spec, tau, t, rng, size=1_000_000)
+    assert draws.shape == (1_000_000,)
+    assert np.std(draws) == pytest.approx(scale, rel=0.005)
+    assert np.mean(draws) == pytest.approx(0.0, abs=0.2)
+    # successive shots are independent
+    assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) < 0.005
 
 
 def test_sigma_sig_is_recomputed_quadrature_sum():
