@@ -22,12 +22,16 @@ the number of refocusing pulses.
 
 Auxiliary models: Rabi oscillation of the measured state fraction and the
 exponential trap-lifetime decay used to calibrate the qubit readout.
+
+Each model's formula is written once, as an unchecked array function
+(``_fringe``, ``_visibility``, ``_rabi``, ``_t1``).  The public model checks
+its arguments and calls it; the fits in ``dephasim.fit`` evaluate the same
+function, so the fitted curve is the documented model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +39,6 @@ from .bloch import _check_timing
 from .errors import DomainError
 
 __all__ = [
-    "FringeModelParams",
-    "VisibilityModelParams",
-    "RelaxationModelParams",
     "envelope_alpha",
     "envelope_kappa",
     "envelope_alpha_exact",
@@ -51,58 +52,6 @@ __all__ = [
     "fraction_from_w",
     "w_from_fraction",
 ]
-
-
-@dataclass(frozen=True)
-class FringeModelParams:
-    """Carrier and envelope of the inhomogeneous fringe.
-
-    delta_prime is the net carrier detuning (set detuning minus magnetic
-    shift minus the light-shift distribution onset), rad/s.  t2_star may be
-    ``math.inf`` to disable the envelope (pure cosine fringe).
-    include_kappa toggles the phase chirp; the envelope keeps its shape.
-    """
-
-    delta_prime: float
-    t2_star: float
-    n: int
-    tau: float = 0.0
-    include_kappa: bool = True
-
-    def __post_init__(self):
-        if not self.t2_star > 0:
-            raise DomainError(f"t2_star must be positive, got {self.t2_star}")
-        _check_timing(self.tau, self.n)
-
-
-@dataclass(frozen=True)
-class VisibilityModelParams:
-    """Gaussian visibility-decay parameters."""
-
-    c0: float
-    sigma_sig: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.c0 <= 1.0:
-            raise DomainError(f"c0 must lie in [0, 1], got {self.c0}")
-        if self.sigma_sig < 0:
-            raise DomainError(f"sigma_sig must be >= 0, got {self.sigma_sig}")
-        if self.n < 1:
-            raise DomainError(f"visibility model needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class RelaxationModelParams:
-    """Exponential relaxation of the measured fraction toward equilibrium."""
-
-    t1: float
-    amplitude: float
-    equilibrium: float
-
-    def __post_init__(self):
-        if not self.t1 > 0:
-            raise DomainError(f"t1 must be positive, got {self.t1}")
 
 
 def _scalar_or_array(x, out):
@@ -141,29 +90,49 @@ def envelope_kappa_exact(x, eta: float):
     return _scalar_or_array(x, -3.0 * np.arctan(r))
 
 
-def fringe_inhomogeneous(t, params: FringeModelParams):
+def _fringe(x, visibility, delta_prime, phase, t2_star, n):
+    """visibility * (-1)**n * alpha(x) * cos(delta_prime*x + phase + kappa(x)).
+
+    x is the time from the echo, t - 2*n*tau.  Nothing is checked but the
+    envelopes' t2_star > 0.
+    """
+    return (visibility * (-1.0) ** n * envelope_alpha(x, t2_star)
+            * np.cos(delta_prime * x + phase + envelope_kappa(x, t2_star)))
+
+
+def fringe_inhomogeneous(t, delta_prime: float, t2_star: float, n: int, tau: float = 0.0):
     """Ensemble-averaged fringe under the shifted-Gamma light-shift law.
 
     Returns (-1)**n * alpha(x) * cos(delta_prime*x + kappa(x)) with
-    x = t - 2*n*tau.  For n = 0 this is the Ramsey fringe; readout times
-    before the last refocusing pulse (or negative times for n = 0) are
-    rejected.
+    x = t - 2*n*tau.  delta_prime is the net carrier detuning (set detuning
+    minus magnetic shift minus the light-shift onset), rad/s; t2_star may be
+    ``math.inf`` for a pure cosine.  For n = 0 this is the Ramsey fringe;
+    readout times before the last refocusing pulse (or negative times for
+    n = 0) are rejected.
     """
-    x = _check_timing(params.tau, params.n, t) - 2 * params.n * params.tau
-    phase = params.delta_prime * x
-    if params.include_kappa:
-        phase = phase + envelope_kappa(x, params.t2_star)
-    out = (-1.0) ** params.n * envelope_alpha(x, params.t2_star) * np.cos(phase)
-    return _scalar_or_array(t, out)
+    if not t2_star > 0:
+        raise DomainError(f"t2_star must be positive, got {t2_star}")
+    x = _check_timing(tau, n, t) - 2 * n * tau
+    return _scalar_or_array(t, _fringe(x, 1.0, delta_prime, 0.0, t2_star, n))
 
 
-def visibility_cpmg(t, params: VisibilityModelParams):
+def _visibility(t, c0, sigma_sig, n):
+    """C0 * exp(-(1/2)*(t/2n)**2 * sigma_sig**2), unchecked."""
+    return c0 * np.exp(-0.5 * (t / (2 * n)) ** 2 * sigma_sig**2)
+
+
+def visibility_cpmg(t, c0: float, sigma_sig: float, n: int):
     """Gaussian visibility decay C0 * exp(-(1/2)*(t/2n)**2 * sigma_sig**2)."""
+    if not 0.0 <= c0 <= 1.0:
+        raise DomainError(f"c0 must lie in [0, 1], got {c0}")
+    if sigma_sig < 0:
+        raise DomainError(f"sigma_sig must be >= 0, got {sigma_sig}")
+    if n < 1:
+        raise DomainError(f"visibility model needs n >= 1, got {n}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("total time t must be >= 0")
-    exponent = -0.5 * (t_arr / (2 * params.n)) ** 2 * params.sigma_sig**2
-    return _scalar_or_array(t, params.c0 * np.exp(exponent))
+    return _scalar_or_array(t, _visibility(t_arr, c0, sigma_sig, n))
 
 
 def homogeneous_factor(tau: float, sigmas) -> float:
@@ -196,6 +165,11 @@ def t2_prime(n: int, sigma_sig: float) -> float:
     return 2.0 * math.sqrt(2.0) * n / sigma_sig
 
 
+def _rabi(t, omega_r, contrast, offset):
+    """offset + contrast*cos(omega_r*t), unchecked."""
+    return offset + contrast * np.cos(omega_r * t)
+
+
 def rabi_fraction(t, omega_r: float, contrast: float, offset: float):
     """Driven-oscillation model offset + contrast*cos(omega_r*t).
 
@@ -206,16 +180,22 @@ def rabi_fraction(t, omega_r: float, contrast: float, offset: float):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("pulse duration must be >= 0")
-    return _scalar_or_array(t, offset + contrast * np.cos(omega_r * t_arr))
+    return _scalar_or_array(t, _rabi(t_arr, omega_r, contrast, offset))
 
 
-def t1_fraction(t, params: RelaxationModelParams):
+def _t1(t, t1, amplitude, equilibrium):
+    """equilibrium + amplitude*exp(-t/T1), unchecked."""
+    return equilibrium + amplitude * np.exp(-t / t1)
+
+
+def t1_fraction(t, t1: float, amplitude: float, equilibrium: float):
     """Relaxation model equilibrium + amplitude*exp(-t/T1)."""
+    if not t1 > 0:
+        raise DomainError(f"t1 must be positive, got {t1}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise DomainError("trapping time must be >= 0")
-    out = params.equilibrium + params.amplitude * np.exp(-t_arr / params.t1)
-    return _scalar_or_array(t, out)
+    return _scalar_or_array(t, _t1(t_arr, t1, amplitude, equilibrium))
 
 
 _W_TOLERANCE = 1e-9

@@ -4,7 +4,9 @@ Configuration is a single JSON document.  Every frequency-like quantity is an
 object ``{"value": <number>, "angular": <bool>}``: plain hertz when angular
 is false (converted to rad/s once at load), already-angular rad/s when true.
 This makes the Hz-versus-rad/s choice explicit at the boundary instead of a
-silent convention.  Unknown keys are rejected with their dotted path.
+silent convention.  Unknown keys, non-finite numbers (``json`` reads NaN
+and Infinity), frequencies and time grids that overflow, and a negative
+``rng_seed`` are rejected with their dotted path.
 
 Exit codes: 0 success; 2 usage, config, or data error; 3 domain-constraint
 violation (e.g. readout before the last pulse); 4 fit non-convergence under
@@ -46,31 +48,43 @@ def _check_keys(doc: dict, allowed, path: str) -> None:
             raise ConfigError(where, f"unknown key (expected one of {sorted(allowed)})")
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a finite float; bools, other types and non-finite values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(where, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return number
+
+
 def _get(doc: dict, key: str, path: str, kind, required=False, default=None):
+    where = f"{path}.{key}" if path else key
     if key not in doc:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "required key is missing")
+            raise ConfigError(where, "required key is missing")
         return default
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-        return float(value)
+        return _number(value, where)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+            raise ConfigError(where, f"expected an integer, got {value!r}")
         return value
     if kind is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}", f"expected true/false, got {value!r}")
+            raise ConfigError(where, f"expected true/false, got {value!r}")
         return value
     if kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}", f"expected a string, got {value!r}")
+            raise ConfigError(where, f"expected a string, got {value!r}")
         return value
     if kind is dict:
         if not isinstance(value, dict):
-            raise ConfigError(f"{path}.{key}", f"expected an object, got {value!r}")
+            raise ConfigError(where, f"expected an object, got {value!r}")
         return value
     raise AssertionError(f"unsupported kind {kind}")
 
@@ -84,13 +98,13 @@ def _count(doc: dict, key: str, path: str, required=False, default=None) -> int:
 
 
 def _frequency(doc: dict, key: str, path: str, required=False, default=0.0) -> float:
-    """Read a frequency object and return rad/s."""
+    """Read a frequency object and return rad/s (finite after the conversion from Hz)."""
+    where = f"{path}.{key}" if path else key
     if key not in doc:
         if required:
-            raise ConfigError(f"{path}.{key}", "required key is missing")
+            raise ConfigError(where, "required key is missing")
         return default
     obj = doc[key]
-    where = f"{path}.{key}" if path else key
     if not isinstance(obj, dict):
         raise ConfigError(
             where, 'frequencies must be {"value": <number>, "angular": <bool>} objects'
@@ -98,7 +112,12 @@ def _frequency(doc: dict, key: str, path: str, required=False, default=0.0) -> f
     _check_keys(obj, {"value", "angular"}, where)
     value = _get(obj, "value", where, float, required=True)
     angular = _get(obj, "angular", where, bool, required=True)
-    return value if angular else 2.0 * math.pi * value
+    if angular:
+        return value
+    rad_s = 2.0 * math.pi * value
+    if not math.isfinite(rad_s):
+        raise ConfigError(f"{where}.value", f"{value!r} Hz overflows in rad/s")
+    return rad_s
 
 
 def _load_document(path) -> dict:
@@ -139,10 +158,7 @@ def _parse_time_grid(doc: dict, sequence: SequenceSpec) -> tuple[float, ...]:
         return ()
     grid = doc["time_grid_s"]
     if isinstance(grid, list):
-        for i, item in enumerate(grid):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"time_grid_s[{i}]", f"expected a number, got {item!r}")
-        return tuple(float(x) for x in grid)
+        return tuple(_number(item, f"time_grid_s[{i}]") for i, item in enumerate(grid))
     if not isinstance(grid, dict):
         raise ConfigError("time_grid_s", "expected a list of seconds or a grid object")
     if "half_span_s" in grid:
@@ -150,11 +166,16 @@ def _parse_time_grid(doc: dict, sequence: SequenceSpec) -> tuple[float, ...]:
         half = _get(grid, "half_span_s", "time_grid_s", float, required=True)
         points = _count(grid, "points", "time_grid_s", required=True)
         center = sequence.echo_time
+        if not (math.isfinite(2.0 * half) and math.isfinite(abs(center) + abs(half))):
+            raise ConfigError("time_grid_s.half_span_s",
+                              f"echo time {center} +- {half} s is not a finite grid")
         return tuple(center + np.linspace(-half, half, points))
     _check_keys(grid, {"start_s", "stop_s", "points"}, "time_grid_s")
     start = _get(grid, "start_s", "time_grid_s", float, required=True)
     stop = _get(grid, "stop_s", "time_grid_s", float, required=True)
     points = _count(grid, "points", "time_grid_s", required=True)
+    if not math.isfinite(stop - start):
+        raise ConfigError("time_grid_s.stop_s", f"span {start} .. {stop} s overflows")
     return tuple(np.linspace(start, stop, points))
 
 
@@ -199,6 +220,13 @@ def _parse_homogeneous(doc: dict, sequence: SequenceSpec) -> HomogeneousNoiseSpe
     return HomogeneousNoiseSpec(np.array(values))
 
 
+def _seed(doc: dict) -> int:
+    seed = _get(doc, "rng_seed", "", int, default=0)
+    if seed < 0:
+        raise ConfigError("rng_seed", f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validate a config document and assemble the experiment description."""
     _check_keys(doc, _TOP_KEYS, "")
@@ -211,7 +239,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         cycles_per_point=_count(doc, "cycles_per_point", "", default=100),
         noise_draws=_count(doc, "noise_draws", "", default=4096),
         time_grid=_parse_time_grid(doc, sequence),
-        rng_seed=_get(doc, "rng_seed", "", int, default=0),
+        rng_seed=_seed(doc),
         zeeman_shift=_frequency(doc, "zeeman_shift", ""),
         contrast=_get(doc, "contrast", "", float, default=1.0),
         invert_fraction=_get(doc, "invert_fraction", "", bool, default=False),
@@ -351,8 +379,8 @@ def _parse_sweep_section(doc: dict) -> dict:
                 "sweep")
     span = section.get("span_t2_prime", [0.15, 1.1])
     if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-                       for x in span)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and 0 < x <= sys.float_info.max for x in span)):
         raise ConfigError("sweep.span_t2_prime",
                           f"expected [low, high] positive multiples of T2', got {span!r}")
     rows = _get(section, "rows", "sweep", dict, default={})

@@ -8,9 +8,12 @@ convergence tests) fully inspectable by the tests.
 
 Wrappers cover every curve the experiment produces: Rabi oscillation, trap
 relaxation, Ramsey/echo/CPMG fringes, and the Gaussian visibility decay whose
-fitted width yields the coherence time T2'.  Visibility extraction is the
-two-stage procedure used on the real data: fit each fringe for its
-visibility, then fit the visibilities against total time.
+fitted width yields the coherence time T2'.  Each wrapper evaluates the
+model formula of ``dephasim.analytic`` (``_rabi``, ``_t1``, ``_fringe``,
+``_visibility``) and writes none of its own; the fringe fit adds only a
+free visibility and phase and the readout map (1 - w)/2.  Visibility
+extraction is the two-stage procedure used on the real data: fit each
+fringe for its visibility, then fit the visibilities against total time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import _readout, envelope_alpha, envelope_kappa, t2_prime
+from .analytic import _fringe, _rabi, _readout, _t1, _visibility, t2_prime
 from .errors import FitError
 
 __all__ = [
@@ -400,12 +403,8 @@ def fit_rabi(data: list[WeightedPoint]) -> FitResult:
     contrast0 = math.sqrt(2.0) * float(np.std(y))
     if np.mean(y[x <= np.quantile(x, 0.15)]) < np.mean(y):
         contrast0 = -contrast0  # early points below the mean: start on the flipped branch
-
-    def curve(t, theta):
-        return theta[2] + theta[1] * np.cos(theta[0] * t)
-
     return fit_curve(
-        curve,
+        lambda t, theta: _rabi(t, *theta),
         data,
         [omega0, contrast0, float(np.mean(y))],
         bounds=[(0.0, None), None, None],
@@ -427,7 +426,7 @@ def fit_t1(data: list[WeightedPoint]) -> FitResult:
     below = np.nonzero(np.abs(y - tail) <= abs(amplitude0) / math.e)[0]
     t1_0 = float(x[below[0]]) if below.size and x[below[0]] > 0 else float(x[-1]) / 2
     return fit_curve(
-        lambda t, theta: theta[2] + theta[1] * np.exp(-t / theta[0]),
+        lambda t, theta: _t1(t, *theta),
         data,
         [t1_0, amplitude0, tail],
         bounds=[(1e-12, None), None, None],
@@ -437,33 +436,11 @@ def fit_t1(data: list[WeightedPoint]) -> FitResult:
     )
 
 
-def _fringe_curve_factory(n: int, tau: float, t2_star, include_kappa: bool, invert: bool):
-    """Build curve(t, theta): fraction of the visibility-scaled fringe.
-
-    theta is (visibility, delta_prime, phase[, t2_star]); the last entry is
-    present only when t2_star is co-fit (``t2_star is None``).
-    """
-    sign = (-1.0) ** n
-    offset = 2 * n * tau
-
-    def curve(t, theta):
-        scale = theta[3] if t2_star is None else t2_star
-        x = np.asarray(t, dtype=float) - offset
-        phase = theta[1] * x + theta[2]
-        if include_kappa:
-            phase = phase + envelope_kappa(x, scale)
-        return _readout(theta[0] * sign * envelope_alpha(x, scale) * np.cos(phase), invert)
-
-    return curve
-
-
 def fit_fringe(
     data: list[WeightedPoint],
     n: int,
     tau: float,
     t2_star: float | None = math.inf,
-    include_kappa: bool = True,
-    invert: bool = False,
 ) -> FitResult:
     """Fit a fraction-vs-time fringe for its visibility.
 
@@ -479,11 +456,6 @@ def fit_fringe(
     n, tau : sequence geometry (n = 0, tau = 0 for Ramsey).
     t2_star : float or None
         Fixed envelope 1/e time, or None to co-fit it.
-    include_kappa : bool
-        Include the envelope phase chirp (meaningful only with a finite
-        envelope scale).
-    invert : bool
-        Use the flipped fraction convention (1+w)/2.
     """
     x = np.array([p.x for p in data])
     y = np.array([p.y for p in data])
@@ -497,7 +469,12 @@ def fit_fringe(
         theta0.append(span / 2)
         names.append("t2_star")
         bounds.append((1e-9, None))
-    curve = _fringe_curve_factory(n, tau, t2_star, include_kappa, invert)
+    offset = 2 * n * tau
+
+    def curve(t, theta):
+        scale = theta[3] if t2_star is None else t2_star
+        return _readout(_fringe(t - offset, *theta[:3], scale, n), False)
+
     result = fit_curve(
         curve,
         data,
@@ -530,11 +507,8 @@ def fit_visibility_decay(points: list[WeightedPoint], n: int) -> FitResult:
     t_half = float(x[halved[0]]) if halved.size and x[halved[0]] > 0 else float(x[-1])
     sigma0 = 2 * n * math.sqrt(2 * math.log(2)) / t_half
 
-    def curve(t, theta):
-        return theta[0] * np.exp(-0.5 * (t / (2 * n)) ** 2 * theta[1] ** 2)
-
     result = fit_curve(
-        curve,
+        lambda t, theta: _visibility(t, *theta, n),
         points,
         [c0_guess, sigma0],
         bounds=[(0.0, 1.2), (0.0, None)],

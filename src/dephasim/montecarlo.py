@@ -109,7 +109,7 @@ class ExperimentConfig:
         if not 0.0 <= self.contrast <= 1.0:
             raise DomainError(f"contrast must lie in [0, 1], got {self.contrast}")
         grid = tuple(float(t) for t in self.time_grid)
-        if grid and np.any(np.diff(grid) <= 0.0):
+        if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
             raise DomainError("time grid must be strictly increasing")
         object.__setattr__(self, "time_grid", grid)
         if self.homogeneous is not None and self.sequence.n >= 1:
@@ -290,7 +290,7 @@ def binomial_dataset(times, probabilities, cycles: int, rng) -> FringeDataset:
     """Binomially sample known probabilities: the measurement-emulation step alone."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(probabilities, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
         raise DomainError("probabilities must lie in [0, 1]")
     successes = rng.binomial(int(cycles), p)
     return FringeDataset(times, successes, np.full(times.shape, int(cycles), dtype=np.int64))

@@ -7,9 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from dephasim.analytic import (
-    FringeModelParams,
-    RelaxationModelParams,
-    VisibilityModelParams,
+    _fringe,
     envelope_alpha,
     envelope_alpha_exact,
     envelope_kappa,
@@ -33,7 +31,7 @@ ETA = T2_STAR / 0.97
 
 def visibility_spin_echo(t, c0, sigma_sig):
     """The single-echo decay: the n = 1 case of visibility_cpmg."""
-    return visibility_cpmg(t, VisibilityModelParams(c0=c0, sigma_sig=sigma_sig, n=1))
+    return visibility_cpmg(t, c0, sigma_sig, 1)
 
 
 def quadrature_fringe_transform(x, dist):
@@ -99,32 +97,38 @@ def test_envelope_rejects_bad_scale():
 def test_fringe_at_echo_time_alternates():
     for n in range(0, 5):
         tau = 2e-3 if n else 0.0
-        params = FringeModelParams(
-            delta_prime=2 * np.pi * 300, t2_star=T2_STAR, n=n, tau=tau
-        )
-        assert fringe_inhomogeneous(2 * n * tau, params) == pytest.approx(
-            (-1.0) ** n, abs=1e-12
-        )
+        w = fringe_inhomogeneous(2 * n * tau, 2 * np.pi * 300, T2_STAR, n, tau)
+        assert w == pytest.approx((-1.0) ** n, abs=1e-12)
 
 
-def zero_crossing_spacing(params, t_max):
+@pytest.mark.parametrize("t2_star", [T2_STAR, math.inf])
+@pytest.mark.parametrize("n", range(7))
+def test_fringe_is_the_unit_visibility_zero_phase_formula(n, t2_star):
+    # The public model and the fringe fit share one formula: the public one
+    # is _fringe at visibility 1 and phase 0, bit for bit.
+    tau = 0.7e-3 if n else 0.0
+    delta_prime = 2 * np.pi * 1.3e3
+    t = np.linspace(max(2 * n - 1, 0) * tau, 2 * n * tau + 3 * T2_STAR, 101)
+    expected = _fringe(t - 2 * n * tau, 1.0, delta_prime, 0.0, t2_star, n)
+    assert np.array_equal(fringe_inhomogeneous(t, delta_prime, t2_star, n, tau), expected)
+    scalar = _fringe(t[7] - 2 * n * tau, 1.0, delta_prime, 0.0, t2_star, n)
+    assert fringe_inhomogeneous(t[7], delta_prime, t2_star, n, tau) == scalar
+
+
+def zero_crossing_spacing(delta_prime, t2_star, t_max):
     t = np.linspace(0.0, t_max, 200_001)
-    y = fringe_inhomogeneous(t, params)
+    y = fringe_inhomogeneous(t, delta_prime, t2_star, 0)
     idx = np.where(np.diff(np.sign(y)) != 0)[0]
     crossings = t[idx] - y[idx] * (t[idx + 1] - t[idx]) / (y[idx + 1] - y[idx])
     return np.diff(crossings)
 
 
 def test_ramsey_zero_crossing_spacing():
-    # Pure carrier: spacing exactly half a detuning period, 58.14 us.
-    plain = FringeModelParams(
-        delta_prime=2 * np.pi * 8.6e3, t2_star=T2_STAR, n=0, include_kappa=False
-    )
-    spacing = zero_crossing_spacing(plain, 0.4e-3)
+    # Pure carrier (no envelope): spacing exactly half a detuning period, 58.14 us.
+    spacing = zero_crossing_spacing(2 * np.pi * 8.6e3, math.inf, 0.4e-3)
     assert spacing[0] == pytest.approx(1.0 / (2 * 8.6e3), rel=1e-3)
-    # With the phase chirp on, the near-zero spacing stretches by ~4%.
-    chirped = FringeModelParams(delta_prime=2 * np.pi * 8.6e3, t2_star=T2_STAR, n=0)
-    spacing = zero_crossing_spacing(chirped, 0.4e-3)
+    # With the envelope and its phase chirp, the near-zero spacing stretches by ~4%.
+    spacing = zero_crossing_spacing(2 * np.pi * 8.6e3, T2_STAR, 0.4e-3)
     assert spacing[0] == pytest.approx(1.0 / (2 * 8.6e3), rel=0.05)
 
 
@@ -132,9 +136,7 @@ def test_fringe_matches_quadrature_pointwise():
     dist = LightShiftDistribution(delta0=2 * np.pi * 1.2e3, eta=ETA)
     delta_set_minus_b = 2 * np.pi * 9.0e3
     n, tau = 2, 0.8e-3
-    params = FringeModelParams(
-        delta_prime=delta_set_minus_b - dist.delta0, t2_star=T2_STAR, n=n, tau=tau
-    )
+    delta_prime = delta_set_minus_b - dist.delta0
     hi = dist.delta0 + 60.0 / dist.eta
     for t in np.linspace(2 * n * tau, 2 * n * tau + 2 * T2_STAR, 9):
         x = t - 2 * n * tau
@@ -142,25 +144,23 @@ def test_fringe_matches_quadrature_pointwise():
             lambda d: lightshift_pdf(dist, d) * np.cos((delta_set_minus_b - d) * x),
             dist.delta0, hi, limit=800,
         )
-        assert fringe_inhomogeneous(t, params) == pytest.approx(
+        assert fringe_inhomogeneous(t, delta_prime, T2_STAR, n, tau) == pytest.approx(
             (-1.0) ** n * target, abs=0.02
         )
 
 
 def test_fringe_rejects_early_readout():
-    params = FringeModelParams(delta_prime=100.0, t2_star=T2_STAR, n=2, tau=1e-3)
     with pytest.raises(DomainError):
-        fringe_inhomogeneous(2.9e-3, params)
-    ramsey = FringeModelParams(delta_prime=100.0, t2_star=T2_STAR, n=0)
+        fringe_inhomogeneous(2.9e-3, 100.0, T2_STAR, 2, 1e-3)
     with pytest.raises(DomainError):
-        fringe_inhomogeneous(-1e-6, ramsey)
+        fringe_inhomogeneous(-1e-6, 100.0, T2_STAR, 0)
 
 
 def test_fringe_envelope_off_mode_is_pure_cosine():
-    params = FringeModelParams(delta_prime=2 * np.pi * 250, t2_star=math.inf, n=1, tau=5e-3)
+    delta_prime = 2 * np.pi * 250
     t = np.linspace(5e-3, 15e-3, 50)
-    assert fringe_inhomogeneous(t, params) == pytest.approx(
-        -np.cos(params.delta_prime * (t - 0.01)), abs=1e-12
+    assert fringe_inhomogeneous(t, delta_prime, math.inf, 1, 5e-3) == pytest.approx(
+        -np.cos(delta_prime * (t - 0.01)), abs=1e-12
     )
 
 
@@ -173,15 +173,12 @@ def test_spin_echo_visibility_anchors():
     assert visibility_spin_echo(t_e, 0.687, 27.6) == pytest.approx(
         0.687 * math.exp(-1.0), rel=1e-12
     )
-    assert visibility_spin_echo(0.05, 0.687, 27.6) == visibility_cpmg(
-        0.05, VisibilityModelParams(c0=0.687, sigma_sig=27.6, n=1)
-    )
+    assert visibility_spin_echo(0.05, 0.687, 27.6) == visibility_cpmg(0.05, 0.687, 27.6, 1)
 
 
 def test_cpmg_visibility_table_row_six():
-    params = VisibilityModelParams(c0=0.602, sigma_sig=55.7, n=6)
-    assert visibility_cpmg(0.0, params) == pytest.approx(0.602)
-    assert visibility_cpmg(0.3045, params) == pytest.approx(
+    assert visibility_cpmg(0.0, 0.602, 55.7, 6) == pytest.approx(0.602)
+    assert visibility_cpmg(0.3045, 0.602, 55.7, 6) == pytest.approx(
         0.602 * math.exp(-0.998832112578125), rel=1e-12
     )
 
@@ -193,20 +190,20 @@ def test_visibility_monotonicity_properties():
         sigma = rng.uniform(1.0, 100.0)
         t = np.sort(rng.uniform(0.0, 0.5, size=8))
         n = int(rng.integers(1, 8))
-        v = visibility_cpmg(t, VisibilityModelParams(c0, sigma, n))
+        v = visibility_cpmg(t, c0, sigma, n)
         assert np.all(np.diff(v) <= 1e-15)  # non-increasing in t
-        v_more_pulses = visibility_cpmg(t, VisibilityModelParams(c0, sigma, n + 1))
+        v_more_pulses = visibility_cpmg(t, c0, sigma, n + 1)
         assert np.all(v_more_pulses >= v - 1e-15)  # more pulses never decay faster
         assert np.all((v >= 0) & (v <= c0) & np.isfinite(v))
 
 
 def test_visibility_params_validated():
     with pytest.raises(DomainError):
-        VisibilityModelParams(c0=1.2, sigma_sig=10.0, n=1)
+        visibility_cpmg(0.0, 1.2, 10.0, 1)
     with pytest.raises(DomainError):
-        VisibilityModelParams(c0=0.5, sigma_sig=-1.0, n=1)
+        visibility_cpmg(0.0, 0.5, -1.0, 1)
     with pytest.raises(DomainError):
-        VisibilityModelParams(c0=0.5, sigma_sig=10.0, n=0)
+        visibility_cpmg(0.0, 0.5, 10.0, 0)
 
 
 # ---------------------------------------------------------------- homogeneous factor
@@ -260,11 +257,10 @@ def test_rabi_model_anchors():
 
 
 def test_t1_model_anchors():
-    params = RelaxationModelParams(t1=0.8308, amplitude=0.5, equilibrium=0.45)
-    assert t1_fraction(0.0, params) == pytest.approx(0.95)
-    assert t1_fraction(0.8308, params) == pytest.approx(0.45 + 0.5 / math.e, rel=1e-12)
+    assert t1_fraction(0.0, 0.8308, 0.5, 0.45) == pytest.approx(0.95)
+    assert t1_fraction(0.8308, 0.8308, 0.5, 0.45) == pytest.approx(0.45 + 0.5 / math.e, rel=1e-12)
     with pytest.raises(DomainError):
-        RelaxationModelParams(t1=0.0, amplitude=0.5, equilibrium=0.45)
+        t1_fraction(0.0, 0.0, 0.5, 0.45)
 
 
 # ---------------------------------------------------------------- fraction map
@@ -298,10 +294,8 @@ def test_closed_forms_stay_in_range_on_random_grids():
         assert abs(envelope_kappa(x, t2s)) < 3 * np.pi / 2
         n = int(rng.integers(0, 6))
         tau = rng.uniform(1e-4, 1e-2) if n else 0.0
-        params = FringeModelParams(
-            delta_prime=rng.normal(0, 1e5), t2_star=t2s, n=n, tau=tau
-        )
+        delta_prime = rng.normal(0, 1e5)
         t = (2 * n - 1) * tau + rng.uniform(0, 3) * (tau if n else t2s)
-        f = fringe_inhomogeneous(t, params)
+        f = fringe_inhomogeneous(t, delta_prime, t2s, n, tau)
         assert np.isfinite(f) and -1.0 <= f <= 1.0
         assert 0.0 < homogeneous_factor(rng.uniform(0, 0.1), rng.uniform(0, 50, 3)) <= 1.0

@@ -1,12 +1,16 @@
+import copy
+import dataclasses
 import filecmp
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dephasim.cli import build_experiment, main, read_visibility_csv
-from dephasim.errors import ConfigError, DataFormatError
+from dephasim.cli import _parse_sweep_section, build_experiment, main, read_visibility_csv
+from dephasim.errors import ConfigError, DataFormatError, DomainError
 from dephasim.fit import FitResult
 
 
@@ -213,11 +217,48 @@ def test_simulate_non_positive_count_exits_2_naming_key(tmp_path, capsys, key, v
     assert f"error: {key}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+def _set(doc, dotted_key, value):
+    *parents, name = dotted_key.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[name] = value
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("time_grid_s", [0.001, math.nan], "time_grid_s[1]: expected a finite number"),
+    ("sequence.delta.value", math.inf, "sequence.delta.value: expected a finite number"),
+    ("sequence.delta.value", 1e308, "sequence.delta.value: 1e+308 Hz overflows"),
+    ("rng_seed", -5, "rng_seed: must be >= 0, got -5"),
+    ("time_grid_s", {"start_s": -1e308, "stop_s": 1e308, "points": 3}, "time_grid_s.stop_s: "),
+    ("time_grid_s", {"half_span_s": 1e308, "points": 3}, "time_grid_s.half_span_s: "),
+    ("contrast", "x", "contrast: expected a number"),
+    ("contrast", 10**400, "contrast: expected a finite number"),
+], ids=["nan-grid-time", "infinite-delta", "overflowing-hz", "negative-seed",
+        "overflowing-span", "overflowing-half-span", "not-a-number", "huge-integer"])
+def test_simulate_config_value_exits_2_naming_key(tmp_path, capsys, key, value, message):
+    doc = ramsey_doc()
+    _set(doc, key, value)
+    config = write_config(tmp_path / "cfg.json", doc)  # NaN/Infinity literals, as json.load reads
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_negative_seed_exits_2_naming_key(tmp_path, capsys, monkeypatch):
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    config = write_config(tmp_path / "cfg.json", sweep_doc(seed=-5, sigma_sig=40.0))
+    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)]) == 2
+    assert "error: rng_seed: must be >= 0, got -5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("tau_points", -2),
     ("points_per_fringe", 0),
     ("span_t2_prime", [0.0, 1.1]),
     ("span_t2_prime", [0.15, -1.0]),
+    ("span_t2_prime", [0.15, math.inf]),
 ])
 def test_sweep_non_positive_size_or_span_exits_2_naming_key(tmp_path, capsys, monkeypatch,
                                                           key, value):
@@ -374,3 +415,108 @@ def test_build_experiment_converts_plain_hertz_once():
 def test_version_flag_exits_cleanly(capsys):
     assert main(["--version"]) == 0
     assert "dephasim" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ config property
+
+
+def _valid_documents():
+    echo = sweep_doc(rows={"6": {"sigma_sig": {"value": 55.7, "angular": True},
+                                 "contrast": 0.602}})
+    echo["sequence"] = {"kind": "spin_echo", "n": 1, "tau_s": 2e-3,
+                        "delta": {"value": 1500.0, "angular": False}}
+    echo["homogeneous"] = {"sigmas": [{"value": 27.6, "angular": True}]}
+    echo["time_grid_s"] = {"half_span_s": 1e-3, "points": 21}
+    echo["zeeman_shift"] = {"value": 12.0, "angular": False}
+    echo["invert_fraction"] = True
+    echo["metadata"] = {"trap_depth_mK": 1.0}
+    cpmg = sweep_doc(sigma_sig=55.7)
+    cpmg["sequence"]["n"] = 6
+    cpmg["inhomogeneous"] = {"delta0": {"value": 200.0, "angular": False}, "eta_s": 1.4e-3}
+    cpmg["time_grid_s"] = [0.0115, 0.012, 0.0125]
+    return [ramsey_doc(), echo, cpmg]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+# Any JSON value json.load can return (NaN and +-Infinity included); integers
+# stay small so that no grid or draw count is large.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10_000, 10_000) | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8,
+)
+# The numbers that break a parser most often, drawn in place of a number half the time.
+EDGE_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -5])
+
+
+def _locations(node, prefix=()):
+    """Every (container path, key) of a document, list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three entries set to other JSON values.
+
+    Half the time a number entry is set to an edge number; otherwise any
+    entry, or a new unknown key beside it, is set to any JSON value.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        locations = list(_locations(doc))
+        numbers = [(path, key) for path, key in locations
+                   if type(_entry(doc, path)[key]) in (int, float)]
+        edge = bool(numbers) and draw(st.booleans())
+        path, key = draw(st.sampled_from(numbers if edge else locations))
+        parent = _entry(doc, path)
+        if not edge and isinstance(parent, dict) and draw(st.booleans()):
+            key = draw(st.text(max_size=6))  # an unknown key (or, rarely, a known one)
+        parent[key] = draw(EDGE_NUMBERS if edge else JSON_VALUES)
+    return doc
+
+
+def _entry(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _numbers(value):
+    """Every number held by a parsed config; metadata is passed through uninterpreted."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name != "metadata":
+                yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float, np.number)) and not isinstance(value, bool):
+        yield float(value)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_documents())
+def test_any_config_value_is_rejected_by_name_or_parsed_finite(doc):
+    # Under filterwarnings = error, a failure here is reported as INTERNALERROR
+    # (Hypothesis's patch writer imports a deprecated module); rerun with
+    # -W ignore::DeprecationWarning to see the falsifying document.
+    for parse in (build_experiment, _parse_sweep_section):
+        try:
+            parsed = parse(doc)
+        except ConfigError as exc:
+            assert not exc.path.startswith(".")
+            continue
+        except DomainError:
+            continue
+        assert all(math.isfinite(x) for x in _numbers(parsed))
+        if parse is build_experiment:
+            assert parsed.rng_seed >= 0

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from dephasim import fit as fit_module
-from dephasim.analytic import FringeModelParams, envelope_alpha, envelope_kappa, fringe_inhomogeneous
+from dephasim.analytic import (
+    _fringe,
+    _readout,
+    envelope_alpha,
+    envelope_kappa,
+    fringe_inhomogeneous,
+    rabi_fraction,
+    t1_fraction,
+    visibility_cpmg,
+)
 from dephasim.bloch import SequenceSpec
 from dephasim.errors import FitError
 from dephasim.fit import (
@@ -372,8 +381,7 @@ def test_t1_zero_amplitude_is_unidentifiable():
 def test_echo_fringe_noiseless_unit_visibility():
     n, tau = 1, 0.005
     xs = 2 * n * tau + np.linspace(-2e-3, 2e-3, 41)
-    params = FringeModelParams(delta_prime=2 * math.pi * 500.0, t2_star=T2_STAR, n=n, tau=tau)
-    frac = (1.0 - fringe_inhomogeneous(xs, params)) / 2.0
+    frac = (1.0 - fringe_inhomogeneous(xs, 2 * math.pi * 500.0, T2_STAR, n, tau)) / 2.0
     res = fit_fringe(weighted_points(xs, frac), n=n, tau=tau, t2_star=T2_STAR)
     assert res.converged
     assert res.params["visibility"] == pytest.approx(1.0, abs=1e-6)
@@ -382,8 +390,7 @@ def test_echo_fringe_noiseless_unit_visibility():
 def test_cpmg_fringe_visibility_at_100_trials():
     n, tau = 2, 0.010
     xs = 2 * n * tau + np.linspace(-1.5e-3, 1.5e-3, 41)
-    params = FringeModelParams(delta_prime=2 * math.pi * 1.5e3, t2_star=T2_STAR, n=n, tau=tau)
-    w = 0.55 * fringe_inhomogeneous(xs, params)
+    w = 0.55 * fringe_inhomogeneous(xs, 2 * math.pi * 1.5e3, T2_STAR, n, tau)
     rng = np.random.default_rng(31)
     counts = rng.binomial(100, (1.0 - w) / 2.0)
     res = fit_fringe(points_from_counts(xs, counts, 100), n=n, tau=tau, t2_star=T2_STAR)
@@ -392,8 +399,7 @@ def test_cpmg_fringe_visibility_at_100_trials():
 
 def test_ramsey_co_fits_t2_star():
     t = np.arange(1, 61) * 5e-5
-    params = FringeModelParams(delta_prime=2 * math.pi * 8.6e3, t2_star=T2_STAR, n=0, tau=0.0)
-    w = fringe_inhomogeneous(t, params)
+    w = fringe_inhomogeneous(t, 2 * math.pi * 8.6e3, T2_STAR, 0)
     rng = np.random.default_rng(41)
     counts = rng.binomial(100, (1.0 - w) / 2.0)
     res = fit_fringe(points_from_counts(t, counts, 100), n=0, tau=0.0, t2_star=None)
@@ -404,8 +410,7 @@ def test_ramsey_co_fits_t2_star():
 
 def test_fixed_t2_star_is_reported_as_held():
     xs = np.linspace(1e-4, 2e-3, 21)
-    params = FringeModelParams(delta_prime=2 * math.pi * 2e3, t2_star=T2_STAR, n=0, tau=0.0)
-    frac = (1.0 - fringe_inhomogeneous(xs, params)) / 2.0
+    frac = (1.0 - fringe_inhomogeneous(xs, 2 * math.pi * 2e3, T2_STAR, 0)) / 2.0
     res = fit_fringe(weighted_points(xs, frac), n=0, tau=0.0, t2_star=T2_STAR)
     assert res.params["t2_star"] == T2_STAR
     assert res.errors["t2_star"] == 0.0
@@ -480,8 +485,7 @@ def test_round_trip_identifiability_all_wrappers():
 
     n, tau = 2, 0.008
     xs = 2 * n * tau + np.linspace(-1.5e-3, 1.5e-3, 41)
-    params = FringeModelParams(delta_prime=2 * math.pi * 1.2e3, t2_star=T2_STAR, n=n, tau=tau)
-    y = (1.0 - 0.62 * fringe_inhomogeneous(xs, params)) / 2.0
+    y = (1.0 - 0.62 * fringe_inhomogeneous(xs, 2 * math.pi * 1.2e3, T2_STAR, n, tau)) / 2.0
     res = fit_fringe(weighted_points(xs, y), n=n, tau=tau, t2_star=T2_STAR)
     x_rel = xs - 2 * n * tau
     w_back = (res.params["visibility"] * (-1.0) ** n * envelope_alpha(x_rel, T2_STAR)
@@ -494,6 +498,53 @@ def test_round_trip_identifiability_all_wrappers():
     res = fit_visibility_decay(weighted_points(t, y), n=2)
     back = visibility_model(t, res.params["c0"], res.params["sigma_sig"], 2)
     assert math.sqrt(np.mean((back - y) ** 2)) < 1e-8
+
+
+def _weighted_rss(data, model_y):
+    """The cost fit_curve minimizes, in its arithmetic order: sum(w * r * r)."""
+    y = np.array([p.y for p in data])
+    w = np.array([p.weight for p in data])
+    r = y - model_y
+    return float(np.sum(w * r * r))
+
+
+def test_fits_evaluate_the_public_models():
+    # The fitted curve is the documented model: the returned rss is that of
+    # the analytic function at the fitted parameters, bit for bit.
+    rng = np.random.default_rng(53)
+    t = np.linspace(0.0, 40e-6, 61)
+    data = points_from_counts(t, rng.binomial(100, 0.5 + 0.45 * np.cos(OMEGA_RABI * t)), 100)
+    res = fit_rabi(data)
+    p = res.params
+    assert res.rss == _weighted_rss(data, rabi_fraction(t, p["omega_r"], p["contrast"], p["offset"]))
+
+    t = np.linspace(0.0, 3.0, 40)
+    data = points_from_counts(t, rng.binomial(200, 0.45 + 0.5 * np.exp(-t / 0.83)), 200)
+    res = fit_t1(data)
+    p = res.params
+    assert res.rss == _weighted_rss(data, t1_fraction(t, p["t1"], p["amplitude"], p["equilibrium"]))
+
+    n = 6
+    t = np.linspace(0.05, 0.35, 40)
+    v = visibility_model(t, 0.6, 55.7, n) + rng.normal(0.0, 0.02, t.size)
+    data = weighted_points(t, v, yerr=np.full(t.size, 0.02))
+    res = fit_visibility_decay(data, n=n)
+    p = res.params
+    assert res.rss == _weighted_rss(data, visibility_cpmg(t, p["c0"], p["sigma_sig"], n))
+
+
+@pytest.mark.parametrize("t2_star", [T2_STAR, None])
+def test_fringe_fit_evaluates_the_analytic_fringe(t2_star):
+    n, tau = 2, 0.008
+    xs = 2 * n * tau + np.linspace(-1.5e-3, 1.5e-3, 41)
+    w = 0.6 * fringe_inhomogeneous(xs, 2 * math.pi * 1.2e3, T2_STAR, n, tau)
+    rng = np.random.default_rng(59)
+    data = points_from_counts(xs, rng.binomial(100, (1.0 - w) / 2.0), 100)
+    res = fit_fringe(data, n=n, tau=tau, t2_star=t2_star)
+    p = res.params
+    w_fit = _fringe(xs - 2 * n * tau, p["visibility"], p["delta_prime"], p["phase"],
+                    p["t2_star"], n)
+    assert res.rss == _weighted_rss(data, _readout(w_fit, False))
 
 
 def test_fitter_registry_names_and_dispatch():

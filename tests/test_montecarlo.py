@@ -338,6 +338,8 @@ def test_dataset_validation_and_config_invariants():
         ExperimentConfig(sequence=seq, contrast=1.2)
     with pytest.raises(DomainError):
         ExperimentConfig(sequence=seq, time_grid=(2.0, 1.0))
+    wide = ExperimentConfig(sequence=seq, time_grid=(-1e308, 1e308))  # order check cannot overflow
+    assert wide.time_grid == (-1e308, 1e308)
     with pytest.raises(DomainError):
         ExperimentConfig(sequence=seq, homogeneous=HomogeneousNoiseSpec([1.0, 2.0]))
     with pytest.raises(DomainError):
@@ -348,6 +350,8 @@ def test_binomial_dataset_rejects_bad_probabilities():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
         binomial_dataset([0.0], [1.2], 100, rng)
+    with pytest.raises(DomainError):
+        binomial_dataset([0.0], [math.nan], 100, rng)  # an overflowed phase
     ds = binomial_dataset([0.0, 1.0], [0.2, 0.8], 100, rng)
     assert np.all(ds.trials == 100)
 
