@@ -1,12 +1,12 @@
 """Command-line interface: simulate datasets, fit them, sweep pulse number.
 
-Configuration is a single JSON document.  Every frequency-like quantity is an
-object ``{"value": <number>, "angular": <bool>}``: plain hertz when angular
-is false (converted to rad/s once at load), already-angular rad/s when true.
-This makes the Hz-versus-rad/s choice explicit at the boundary instead of a
-silent convention.  Unknown keys, non-finite numbers (``json`` reads NaN
-and Infinity), frequencies and time grids that overflow, and a negative
-``rng_seed`` are rejected with their dotted path.
+Configuration is a single JSON document, read against one table per JSON
+object (``_CONFIG`` and the tables it names) that gives each accepted key
+its kind and default.  Every frequency is an object ``{"value": <number>,
+"angular": <bool>}``: hertz when angular is false (converted to rad/s once
+at load), rad/s when true.  Unknown or missing keys, values of the wrong
+kind, non-finite numbers, frequencies and grids that overflow, and a
+negative ``rng_seed`` are rejected with their dotted path.
 
 Exit codes: 0 success; 2 usage, config, or data error; 3 domain-constraint
 violation (e.g. readout before the last pulse); 4 fit non-convergence under
@@ -40,12 +40,45 @@ __all__ = ["main"]
 
 # ----------------------------------------------------------- config schema
 
+# One table per JSON object: key -> (kind, default), the default taken when the
+# key is absent (REQUIRED: it must be given).  Kinds: "number" (a finite float),
+# "integer", "count" (an integer >= 1), "bool", "string", "object", "list",
+# "frequency" (an object, returned in rad/s), None (read in code) or a table.
+REQUIRED = object()
+_FREQUENCY = {"value": ("number", REQUIRED), "angular": ("bool", REQUIRED)}
+_SEQUENCE = {"kind": ("string", REQUIRED), "n": ("integer", None),  # None: 0 for ramsey, else 1
+             "tau_s": ("number", 0.0), "delta": ("frequency", 0.0)}
+_INHOMOGENEOUS = {"delta0": ("frequency", 0.0),  # exactly one of t2_star_s and eta_s
+                  "t2_star_s": ("number", None), "eta_s": ("number", None)}
+_HOMOGENEOUS = {"sigma_sig": ("frequency", None), "sigmas": ("list", None)}  # exactly one
+_HALF_SPAN_GRID = {"half_span_s": ("number", REQUIRED), "points": ("count", REQUIRED)}
+_START_STOP_GRID = {"start_s": ("number", REQUIRED), "stop_s": ("number", REQUIRED),
+                    "points": ("count", REQUIRED)}
+_CONFIG = {
+    "sequence": (_SEQUENCE, REQUIRED),
+    "inhomogeneous": (_INHOMOGENEOUS, None),
+    "homogeneous": (_HOMOGENEOUS, None),
+    "cycles_per_point": ("count", 100),
+    "noise_draws": ("count", 4096),
+    "time_grid_s": (None, []),  # a list of seconds, _HALF_SPAN_GRID or _START_STOP_GRID
+    "rng_seed": ("integer", 0),
+    "zeeman_shift": ("frequency", 0.0),
+    "contrast": ("number", 1.0),
+    "invert_fraction": ("bool", False),
+    "metadata": ("object", {}),
+    "sweep": (None, None),  # _SWEEP, read by _parse_sweep_section only
+}
+_SWEEP = {"tau_points": ("count", 10), "span_t2_prime": ("list", [0.15, 1.1]),
+          "points_per_fringe": ("count", 31), "rows": ("object", {})}  # rows: n -> _SWEEP_ROW
+_SWEEP_ROW = {"sigma_sig": ("frequency", REQUIRED), "contrast": ("number", 1.0)}
+_TYPES = {"integer": (int, "an integer"), "count": (int, "an integer"),
+          "bool": (bool, "true/false"), "string": (str, "a string"),
+          "object": (dict, "an object"), "list": (list, "a list")}
 
-def _check_keys(doc: dict, allowed, path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(where, f"unknown key (expected one of {sorted(allowed)})")
+
+def _key(path: str, key) -> str:
+    """The dotted location of ``key`` inside ``path``; no leading dot at the top level."""
+    return f"{path}.{key}" if path else str(key)
 
 
 def _number(value, where: str) -> float:
@@ -61,63 +94,43 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _get(doc: dict, key: str, path: str, kind, required=False, default=None):
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if required:
-            raise ConfigError(where, "required key is missing")
-        return default
-    value = doc[key]
-    if kind is float:
+def _value(value, kind, where: str):
+    """Check one value against its kind and return it converted; a table is read in full."""
+    if kind is None:
+        return value
+    if kind == "number":
         return _number(value, where)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(where, f"expected an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(where, f"expected true/false, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(where, f"expected a string, got {value!r}")
-        return value
-    if kind is dict:
+    if kind == "frequency":
         if not isinstance(value, dict):
-            raise ConfigError(where, f"expected an object, got {value!r}")
-        return value
-    raise AssertionError(f"unsupported kind {kind}")
+            raise ConfigError(
+                where, 'frequencies must be {"value": <number>, "angular": <bool>} objects')
+        freq = _read(value, _FREQUENCY, where)
+        rad_s = freq["value"] if freq["angular"] else 2.0 * math.pi * freq["value"]
+        if not math.isfinite(rad_s):
+            raise ConfigError(f"{where}.value", f"{freq['value']!r} Hz overflows in rad/s")
+        return rad_s
+    accepted, expected = (dict, "an object") if isinstance(kind, dict) else _TYPES[kind]
+    if not isinstance(value, accepted) or (accepted is int and isinstance(value, bool)):
+        raise ConfigError(where, f"expected {expected}, got {value!r}")
+    if kind == "count" and value < 1:
+        raise ConfigError(where, f"must be >= 1, got {value}")
+    return _read(value, kind, where) if isinstance(kind, dict) else value
 
 
-def _count(doc: dict, key: str, path: str, required=False, default=None) -> int:
-    """Read a count (grid size, cycles, draws): an integer >= 1."""
-    value = _get(doc, key, path, int, required=required, default=default)
-    if value < 1:
-        raise ConfigError(f"{path}.{key}" if path else key, f"must be >= 1, got {value}")
-    return value
-
-
-def _frequency(doc: dict, key: str, path: str, required=False, default=0.0) -> float:
-    """Read a frequency object and return rad/s (finite after the conversion from Hz)."""
-    where = f"{path}.{key}" if path else key
-    if key not in doc:
-        if required:
-            raise ConfigError(where, "required key is missing")
-        return default
-    obj = doc[key]
-    if not isinstance(obj, dict):
-        raise ConfigError(
-            where, 'frequencies must be {"value": <number>, "angular": <bool>} objects'
-        )
-    _check_keys(obj, {"value", "angular"}, where)
-    value = _get(obj, "value", where, float, required=True)
-    angular = _get(obj, "angular", where, bool, required=True)
-    if angular:
-        return value
-    rad_s = 2.0 * math.pi * value
-    if not math.isfinite(rad_s):
-        raise ConfigError(f"{where}.value", f"{value!r} Hz overflows in rad/s")
-    return rad_s
+def _read(doc: dict, table: dict, path: str) -> dict:
+    """Check a JSON object against its table; return every key's value, defaults filled in."""
+    for key in doc:
+        if key not in table:
+            raise ConfigError(_key(path, key), f"unknown key (expected one of {sorted(table)})")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key in doc:
+            out[key] = _value(doc[key], kind, _key(path, key))
+        elif default is REQUIRED:
+            raise ConfigError(_key(path, key), "required key is missing")
+        else:
+            out[key] = default
+    return out
 
 
 def _load_document(path) -> dict:
@@ -126,125 +139,98 @@ def _load_document(path) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ConfigError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be an object")
     return doc
 
 
-_TOP_KEYS = {
-    "sequence", "inhomogeneous", "homogeneous", "cycles_per_point", "noise_draws",
-    "time_grid_s", "rng_seed", "zeeman_shift", "contrast", "invert_fraction",
-    "metadata", "sweep",
-}
-
-
-def _parse_sequence(doc: dict) -> SequenceSpec:
-    seq = _get(doc, "sequence", "", dict, required=True)
-    _check_keys(seq, {"kind", "n", "tau_s", "delta"}, "sequence")
-    kind = _get(seq, "kind", "sequence", str, required=True)
-    if kind not in SEQUENCE_KINDS:
-        raise ConfigError("sequence.kind", f"expected one of {SEQUENCE_KINDS}, got {kind!r}")
-    default_n = 0 if kind == "ramsey" else 1
-    n = _get(seq, "n", "sequence", int, default=default_n)
-    tau = _get(seq, "tau_s", "sequence", float, default=0.0)
-    delta = _frequency(seq, "delta", "sequence")
-    return SequenceSpec(kind, n, tau=tau, delta=delta)
-
-
-def _parse_time_grid(doc: dict, sequence: SequenceSpec) -> tuple[float, ...]:
-    if "time_grid_s" not in doc:
-        return ()
-    grid = doc["time_grid_s"]
-    if isinstance(grid, list):
-        return tuple(_number(item, f"time_grid_s[{i}]") for i, item in enumerate(grid))
-    if not isinstance(grid, dict):
-        raise ConfigError("time_grid_s", "expected a list of seconds or a grid object")
-    if "half_span_s" in grid:
-        _check_keys(grid, {"half_span_s", "points"}, "time_grid_s")
-        half = _get(grid, "half_span_s", "time_grid_s", float, required=True)
-        points = _count(grid, "points", "time_grid_s", required=True)
-        center = sequence.echo_time
-        if not (math.isfinite(2.0 * half) and math.isfinite(abs(center) + abs(half))):
-            raise ConfigError("time_grid_s.half_span_s",
-                              f"echo time {center} +- {half} s is not a finite grid")
-        return tuple(center + np.linspace(-half, half, points))
-    _check_keys(grid, {"start_s", "stop_s", "points"}, "time_grid_s")
-    start = _get(grid, "start_s", "time_grid_s", float, required=True)
-    stop = _get(grid, "stop_s", "time_grid_s", float, required=True)
-    points = _count(grid, "points", "time_grid_s", required=True)
-    if not math.isfinite(stop - start):
-        raise ConfigError("time_grid_s.stop_s", f"span {start} .. {stop} s overflows")
-    return tuple(np.linspace(start, stop, points))
-
-
-def _parse_inhomogeneous(doc: dict) -> LightShiftDistribution | None:
-    if "inhomogeneous" not in doc:
-        return None
-    section = _get(doc, "inhomogeneous", "", dict, required=True)
-    _check_keys(section, {"delta0", "t2_star_s", "eta_s"}, "inhomogeneous")
-    delta0 = _frequency(section, "delta0", "inhomogeneous")
-    has_t2 = "t2_star_s" in section
-    has_eta = "eta_s" in section
-    if has_t2 == has_eta:
-        raise ConfigError("inhomogeneous", "give exactly one of t2_star_s or eta_s")
-    if has_t2:
-        t2_star = _get(section, "t2_star_s", "inhomogeneous", float, required=True)
-        return LightShiftDistribution.from_t2_star(t2_star, delta0=delta0)
-    eta = _get(section, "eta_s", "inhomogeneous", float, required=True)
-    return LightShiftDistribution(delta0=delta0, eta=eta)
-
-
-def _parse_homogeneous(doc: dict, sequence: SequenceSpec) -> HomogeneousNoiseSpec | None:
-    if "homogeneous" not in doc:
-        return None
-    section = _get(doc, "homogeneous", "", dict, required=True)
-    _check_keys(section, {"sigma_sig", "sigmas"}, "homogeneous")
-    has_total = "sigma_sig" in section
-    has_list = "sigmas" in section
-    if has_total == has_list:
-        raise ConfigError("homogeneous", "give exactly one of sigma_sig or sigmas")
-    if has_total:
-        sigma_sig = _frequency(section, "sigma_sig", "homogeneous", required=True)
-        if sequence.n < 1:
-            raise ConfigError("homogeneous.sigma_sig", "needs a sequence with n >= 1")
-        return HomogeneousNoiseSpec.from_sigma_sig(sigma_sig, sequence.n)
-    sigmas = section["sigmas"]
-    if not isinstance(sigmas, list) or not sigmas:
-        raise ConfigError("homogeneous.sigmas", "expected a non-empty list of frequencies")
-    values = [
-        _frequency({"s": item}, "s", f"homogeneous.sigmas[{i}]", required=True)
-        for i, item in enumerate(sigmas)
-    ]
-    return HomogeneousNoiseSpec(np.array(values))
-
-
-def _seed(doc: dict) -> int:
-    seed = _get(doc, "rng_seed", "", int, default=0)
-    if seed < 0:
-        raise ConfigError("rng_seed", f"must be >= 0, got {seed}")
-    return seed
+def _exactly_one(section: dict, first: str, second: str, path: str) -> str:
+    """Which of two alternative keys a section gives; both or neither is an error."""
+    if (section[first] is None) == (section[second] is None):
+        raise ConfigError(path, f"give exactly one of {first} or {second}")
+    return first if section[first] is not None else second
 
 
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validate a config document and assemble the experiment description."""
-    _check_keys(doc, _TOP_KEYS, "")
-    sequence = _parse_sequence(doc)
-    metadata = _get(doc, "metadata", "", dict, default={})
+    top = _read(doc, _CONFIG, "")
+    seq = top["sequence"]
+    if seq["kind"] not in SEQUENCE_KINDS:
+        raise ConfigError("sequence.kind", f"expected one of {SEQUENCE_KINDS}, got {seq['kind']!r}")
+    n = seq["n"] if seq["n"] is not None else (0 if seq["kind"] == "ramsey" else 1)
+    sequence = SequenceSpec(seq["kind"], n, tau=seq["tau_s"], delta=seq["delta"])
+
+    inhomogeneous = section = top["inhomogeneous"]
+    if section is not None:
+        delta0 = section["delta0"]
+        if _exactly_one(section, "t2_star_s", "eta_s", "inhomogeneous") == "t2_star_s":
+            inhomogeneous = LightShiftDistribution.from_t2_star(section["t2_star_s"], delta0)
+        else:
+            inhomogeneous = LightShiftDistribution(delta0=delta0, eta=section["eta_s"])
+
+    homogeneous = section = top["homogeneous"]
+    if section is not None:
+        if _exactly_one(section, "sigma_sig", "sigmas", "homogeneous") == "sigma_sig":
+            if n < 1:
+                raise ConfigError("homogeneous.sigma_sig", "needs a sequence with n >= 1")
+            homogeneous = HomogeneousNoiseSpec.from_sigma_sig(section["sigma_sig"], n)
+        elif not section["sigmas"]:
+            raise ConfigError("homogeneous.sigmas", "expected a non-empty list of frequencies")
+        else:
+            homogeneous = HomogeneousNoiseSpec(np.array([
+                _value(item, "frequency", f"homogeneous.sigmas[{i}]")
+                for i, item in enumerate(section["sigmas"])]))
+
+    grid = top["time_grid_s"]
+    if isinstance(grid, list):
+        time_grid = tuple(_number(item, f"time_grid_s[{i}]") for i, item in enumerate(grid))
+    elif not isinstance(grid, dict):
+        raise ConfigError("time_grid_s", "expected a list of seconds or a grid object")
+    elif "half_span_s" in grid:
+        grid = _read(grid, _HALF_SPAN_GRID, "time_grid_s")
+        half, center = grid["half_span_s"], sequence.echo_time
+        if not (math.isfinite(2.0 * half) and math.isfinite(abs(center) + abs(half))):
+            raise ConfigError("time_grid_s.half_span_s",
+                              f"echo time {center} +- {half} s is not a finite grid")
+        time_grid = tuple(center + np.linspace(-half, half, grid["points"]))
+    else:
+        grid = _read(grid, _START_STOP_GRID, "time_grid_s")
+        start, stop = grid["start_s"], grid["stop_s"]
+        if not math.isfinite(stop - start):
+            raise ConfigError("time_grid_s.stop_s", f"span {start} .. {stop} s overflows")
+        time_grid = tuple(np.linspace(start, stop, grid["points"]))
+
+    if top["rng_seed"] < 0:
+        raise ConfigError("rng_seed", f"must be >= 0, got {top['rng_seed']}")
     return ExperimentConfig(
-        sequence=sequence,
-        inhomogeneous=_parse_inhomogeneous(doc),
-        homogeneous=_parse_homogeneous(doc, sequence),
-        cycles_per_point=_count(doc, "cycles_per_point", "", default=100),
-        noise_draws=_count(doc, "noise_draws", "", default=4096),
-        time_grid=_parse_time_grid(doc, sequence),
-        rng_seed=_seed(doc),
-        zeeman_shift=_frequency(doc, "zeeman_shift", ""),
-        contrast=_get(doc, "contrast", "", float, default=1.0),
-        invert_fraction=_get(doc, "invert_fraction", "", bool, default=False),
-        metadata=dict(metadata),
+        sequence=sequence, inhomogeneous=inhomogeneous, homogeneous=homogeneous,
+        cycles_per_point=top["cycles_per_point"], noise_draws=top["noise_draws"],
+        time_grid=time_grid, rng_seed=top["rng_seed"], zeeman_shift=top["zeeman_shift"],
+        contrast=top["contrast"], invert_fraction=top["invert_fraction"],
+        metadata=dict(top["metadata"]),
     )
+
+
+def _parse_sweep_section(doc: dict) -> dict:
+    """Read the ``sweep`` section, which only ``sweep-n`` uses."""
+    sweep = _value(doc.get("sweep", {}), _SWEEP, "sweep")
+    span = sweep["span_t2_prime"]
+    if (len(span) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and 0 < x <= sys.float_info.max for x in span)):
+        raise ConfigError("sweep.span_t2_prime",
+                          f"expected [low, high] positive multiples of T2', got {span!r}")
+    rows = {}
+    for key, row in sweep["rows"].items():
+        try:
+            n = int(key)
+        except ValueError:
+            raise ConfigError(f"sweep.rows.{key}", "row keys must be pulse numbers") from None
+        rows[n] = _value(row, _SWEEP_ROW, f"sweep.rows.{key}")
+    return {"tau_points": sweep["tau_points"], "span": (float(span[0]), float(span[1])),
+            "points_per_fringe": sweep["points_per_fringe"], "rows": rows}
 
 
 # -------------------------------------------------------------- outputs
@@ -276,29 +262,32 @@ def write_visibility_csv(path, points) -> None:
 
 def read_visibility_csv(path):
     """Read a visibility table into WeightedPoints (weight = 1/err**2)."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty visibility file") from None
-        if header != ["total_time_s", "visibility", "visibility_err"]:
-            raise DataFormatError(f"unexpected header {header!r}")
-        times, values, errs = [], [], []
-        for index, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise DataFormatError(f"expected 3 columns, got {len(row)}", row=index)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
             try:
-                t, v, e = (float(cell) for cell in row)
-            except ValueError as exc:
-                raise DataFormatError(str(exc), row=index) from None
-            if not all(math.isfinite(x) for x in (t, v, e)):
-                raise DataFormatError(f"non-finite value in {row!r}", row=index)
-            if not e > 0:
-                raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
-            times.append(t)
-            values.append(v)
-            errs.append(e)
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError("empty visibility file") from None
+            if header != ["total_time_s", "visibility", "visibility_err"]:
+                raise DataFormatError(f"unexpected header {header!r}")
+            times, values, errs = [], [], []
+            for index, row in enumerate(reader, start=1):
+                if len(row) != 3:
+                    raise DataFormatError(f"expected 3 columns, got {len(row)}", row=index)
+                try:
+                    t, v, e = (float(cell) for cell in row)
+                except ValueError as exc:
+                    raise DataFormatError(str(exc), row=index) from None
+                if not all(math.isfinite(x) for x in (t, v, e)):
+                    raise DataFormatError(f"non-finite value in {row!r}", row=index)
+                if not e > 0:
+                    raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
+                times.append(t)
+                values.append(v)
+                errs.append(e)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
+        raise DataFormatError(f"{path}: {exc}") from None
     return weighted_points(times, values, yerr=np.array(errs))
 
 
@@ -371,39 +360,6 @@ def cmd_fit(args) -> int:
         print("fit did not converge (--strict)", file=sys.stderr)
         return 4
     return 0
-
-
-def _parse_sweep_section(doc: dict) -> dict:
-    section = _get(doc, "sweep", "", dict, default={})
-    _check_keys(section, {"tau_points", "span_t2_prime", "points_per_fringe", "rows"},
-                "sweep")
-    span = section.get("span_t2_prime", [0.15, 1.1])
-    if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and 0 < x <= sys.float_info.max for x in span)):
-        raise ConfigError("sweep.span_t2_prime",
-                          f"expected [low, high] positive multiples of T2', got {span!r}")
-    rows = _get(section, "rows", "sweep", dict, default={})
-    parsed_rows = {}
-    for key, row in rows.items():
-        where = f"sweep.rows.{key}"
-        try:
-            n = int(key)
-        except ValueError:
-            raise ConfigError(where, "row keys must be pulse numbers") from None
-        if not isinstance(row, dict):
-            raise ConfigError(where, "expected an object")
-        _check_keys(row, {"sigma_sig", "contrast"}, where)
-        parsed_rows[n] = {
-            "sigma_sig": _frequency(row, "sigma_sig", where, required=True),
-            "contrast": _get(row, "contrast", where, float, default=1.0),
-        }
-    return {
-        "tau_points": _count(section, "tau_points", "sweep", default=10),
-        "span": (float(span[0]), float(span[1])),
-        "points_per_fringe": _count(section, "points_per_fringe", "sweep", default=31),
-        "rows": parsed_rows,
-    }
 
 
 def cmd_sweep_n(args) -> int:

@@ -10,10 +10,12 @@ within a sequence).  The readout is w = (-1)**n * cos(Phi) with the phase of
 
 The jumps enter Phi only through sum_i c_i * jump_i, a single Gaussian, so
 each cycle draws that sum directly (``noise.sample_jump_phase``) instead of
-one jump per pulse.  The mean of w over the draws goes through
-``analytic.fraction_from_w`` with the fringe contrast, and finite measurement
+one jump per pulse.  The mean of w over the draws, times the fringe
+contrast, goes through the readout map (``analytic.fraction_from_w`` without
+its range check, which a mean of cosines cannot fail), and finite measurement
 statistics are emulated by drawing successes from a binomial with
-``cycles_per_point`` trials.
+``cycles_per_point`` trials.  A visibility scan of an ``invert_fraction``
+config fits the complementary counts, the same fringe in the default readout.
 
 Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The noise of each grid point is drawn
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import fraction_from_w
+from .analytic import _readout
 from .bloch import SequenceSpec, accumulated_phase
 from .errors import DataFormatError, DomainError, FitError
 from .fit import fit_fringe, points_from_counts
@@ -199,27 +201,30 @@ class FringeDataset:
 
     @staticmethod
     def read_csv(path) -> "FringeDataset":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError("empty dataset file") from None
-            if header != ["time_s", "fraction", "trials", "successes"]:
-                raise DataFormatError(f"unexpected header {header!r}")
-            times, fractions, successes, trials = [], [], [], []
-            for index, row in enumerate(reader, start=1):
-                if len(row) != 4:
-                    raise DataFormatError(f"expected 4 columns, got {len(row)}", row=index)
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                reader = csv.reader(handle)
                 try:
-                    t, frac = float(row[0]), float(row[1])
-                    n_trials, n_succ = int(row[2]), int(row[3])
-                except ValueError as exc:
-                    raise DataFormatError(str(exc), row=index) from None
-                times.append(t)
-                fractions.append(frac)
-                successes.append(n_succ)
-                trials.append(n_trials)
+                    header = next(reader)
+                except StopIteration:
+                    raise DataFormatError("empty dataset file") from None
+                if header != ["time_s", "fraction", "trials", "successes"]:
+                    raise DataFormatError(f"unexpected header {header!r}")
+                times, fractions, successes, trials = [], [], [], []
+                for index, row in enumerate(reader, start=1):
+                    if len(row) != 4:
+                        raise DataFormatError(f"expected 4 columns, got {len(row)}", row=index)
+                    try:
+                        t, frac = float(row[0]), float(row[1])
+                        n_trials, n_succ = int(row[2]), int(row[3])
+                    except ValueError as exc:
+                        raise DataFormatError(str(exc), row=index) from None
+                    times.append(t)
+                    fractions.append(frac)
+                    successes.append(n_succ)
+                    trials.append(n_trials)
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
+            raise DataFormatError(f"{path}: {exc}") from None
         dataset = FringeDataset(np.array(times), np.array(successes), np.array(trials))
         mismatch = ~(np.abs(np.array(fractions) - dataset.fractions) <= 1e-9)
         if np.any(mismatch):
@@ -266,8 +271,8 @@ def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | N
     phase = accumulated_phase(delta_eff, seq.tau, seq.n, t)
     if config.homogeneous is not None and seq.n >= 1:
         phase = phase + sample_jump_phase(config.homogeneous, seq.tau, t, rng, size=draws)
-    w = (-1.0) ** seq.n * np.mean(np.cos(phase))
-    return fraction_from_w(config.contrast * w, invert=config.invert_fraction)
+    w = (-1.0) ** seq.n * np.mean(np.cos(phase))  # |w| <= 1: no range check needed
+    return _readout(config.contrast * w, config.invert_fraction)
 
 
 # ------------------------------------------------------------- datasets
@@ -351,6 +356,9 @@ def scan_visibility(
             rng_seed=sub_seed,
         )
         dataset = simulate_dataset(sub_config)
+        if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
+            dataset = FringeDataset(dataset.times, dataset.trials - dataset.successes,
+                                    dataset.trials)
         try:
             fit = fit_fringe(dataset.points(), n=seq.n, tau=tau, t2_star=t2_star)
             points.append(VisibilityPoint(

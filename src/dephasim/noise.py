@@ -9,7 +9,8 @@ Two noise channels drive the loss of fringe contrast:
 * homogeneous: within one shot the detuning drifts, which a pulse train only
   feels through the time-averaged detuning change jump_i across each
   refocusing pulse.  The reduced statistics are independent zero-mean
-  Gaussians with standard deviations sigma_i.
+  Gaussians with standard deviations sigma_i, whose quadrature sum
+  sigma_sig must be finite.
 
 The light shift is drawn by inversion, three uniforms and one logarithm per
 draw (``lightshift_sample``); the jumps enter a pulse sequence only through
@@ -24,19 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SegmentDetunings, jump_weights
+from .bloch import jump_weights
 from .errors import DomainError
 
 __all__ = [
     "LightShiftDistribution",
     "HomogeneousNoiseSpec",
-    "DetuningTrace",
     "lightshift_pdf",
     "lightshift_cdf",
     "lightshift_sample",
     "sample_jump_phase",
-    "reduce_trace",
-    "white_piecewise_trace",
 ]
 
 # Exact SI values.
@@ -161,6 +159,9 @@ class HomogeneousNoiseSpec:
             raise DomainError("sigmas must be a non-empty one-dimensional list")
         if np.any(sigmas < 0):
             raise DomainError("all sigma_i must be >= 0")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(sigmas**2)):
+                raise DomainError(f"sigmas {sigmas.tolist()}: the quadrature sum is not finite")
         object.__setattr__(self, "sigmas", sigmas)
 
     @property
@@ -199,93 +200,3 @@ def sample_jump_phase(
     c = jump_weights(tau, spec.n, t)
     scale = float(np.sqrt(np.sum((c * spec.sigmas) ** 2)))
     return scale * rng.standard_normal(size)
-
-
-@dataclass(frozen=True)
-class DetuningTrace:
-    """Piecewise representation of a detuning time-trace delta(t).
-
-    ``kind="sampled"``: ``values[j]`` is delta at ``times[j]`` and the trace
-    is linearly interpolated between samples (trapezoidal integration).
-    ``kind="piecewise_constant"``: ``values[j]`` holds on
-    [times[j], times[j+1]), so ``len(values) == len(times) - 1`` (exact
-    integration).  Times are seconds, values rad/s.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    kind: str = "sampled"
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if self.kind not in ("sampled", "piecewise_constant"):
-            raise DomainError(f"unknown trace kind {self.kind!r}")
-        if times.ndim != 1 or times.shape[0] < 2:
-            raise DomainError("trace needs at least two time points")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("trace times must be strictly increasing")
-        expected = times.shape[0] if self.kind == "sampled" else times.shape[0] - 1
-        if values.shape != (expected,):
-            raise DomainError(
-                f"{self.kind} trace with {times.shape[0]} times needs {expected} "
-                f"values, got {values.shape}"
-            )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def integrate(self, a: float, b: float) -> float:
-        """Integral of delta(t) over [a, b], which must lie inside the trace."""
-        if a > b:
-            raise DomainError(f"empty integration window [{a}, {b}]")
-        if a < self.times[0] or b > self.times[-1]:
-            raise DomainError(
-                f"window [{a}, {b}] outside trace support "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        if self.kind == "piecewise_constant":
-            lo = np.maximum(self.times[:-1], a)
-            hi = np.minimum(self.times[1:], b)
-            return float(np.sum(self.values * np.clip(hi - lo, 0.0, None)))
-        inner = self.times[(self.times > a) & (self.times < b)]
-        grid = np.concatenate(([a], inner, [b]))
-        return float(np.trapezoid(np.interp(grid, self.times, self.values), grid))
-
-
-def reduce_trace(trace: DetuningTrace, tau: float, n: int) -> SegmentDetunings:
-    """Reduce a detuning trace to per-interval averages and jumps.
-
-    For each pulse i (at time (2i-1)*tau) the trace is averaged over the
-    interval before, [(2i-2)*tau, (2i-1)*tau], and the interval after,
-    [(2i-1)*tau, 2i*tau]; the jump is the difference of the two averages.
-    The trace must cover the whole window [0, 2*n*tau].
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1 pulses, got {n}")
-    if not tau > 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if trace.times[0] > 0.0 or trace.times[-1] < 2 * n * tau:
-        raise DomainError(
-            f"trace covers [{trace.times[0]}, {trace.times[-1]}] but the sequence "
-            f"window is [0, {2 * n * tau}]"
-        )
-    base = np.empty(n)
-    jumps = np.empty(n)
-    for i in range(n):
-        before = trace.integrate((2 * i) * tau, (2 * i + 1) * tau) / tau
-        after = trace.integrate((2 * i + 1) * tau, (2 * i + 2) * tau) / tau
-        base[i] = before
-        jumps[i] = after - before
-    return SegmentDetunings(base, jumps)
-
-
-def white_piecewise_trace(
-    std: float, tau: float, n: int, rng: np.random.Generator
-) -> DetuningTrace:
-    """Piecewise-constant trace with an independent N(0, std**2) level per half-interval.
-
-    Reducing such a trace yields jumps with variance 2*std**2 (difference of
-    two independent interval averages).
-    """
-    edges = np.arange(2 * n + 1) * tau
-    return DetuningTrace(edges, rng.normal(0.0, std, 2 * n), kind="piecewise_constant")

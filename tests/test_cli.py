@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephasim.cli import _parse_sweep_section, build_experiment, main, read_visibility_csv
+from dephasim.cli import (
+    _load_document, _parse_sweep_section, build_experiment, main, read_visibility_csv,
+)
 from dephasim.errors import ConfigError, DataFormatError, DomainError
 from dephasim.fit import FitResult
+from dephasim.montecarlo import FringeDataset
 
 
 def write_config(path, doc):
@@ -174,6 +177,53 @@ def test_unknown_config_key_exits_2_with_dotted_path(tmp_path, capsys):
     assert "sequence.detuning" in capsys.readouterr().err
 
 
+def _every_level_doc(grid):
+    doc = sweep_doc(rows={"6": {"sigma_sig": {"value": 55.7, "angular": True}}})
+    doc["inhomogeneous"] = {"t2_star_s": 0.0014}
+    doc["homogeneous"] = {"sigmas": [{"value": 27.6, "angular": True}]}
+    doc["time_grid_s"] = grid
+    return doc
+
+
+HALF_SPAN = {"half_span_s": 1e-4, "points": 5}
+START_STOP = {"start_s": 1.9e-3, "stop_s": 2.1e-3, "points": 5}
+
+
+@pytest.mark.parametrize("grid, path, required", [
+    (HALF_SPAN, "", "sequence"),
+    (HALF_SPAN, "sequence", "kind"),
+    (HALF_SPAN, "sequence.delta", "angular"),
+    (HALF_SPAN, "inhomogeneous", None),
+    (HALF_SPAN, "homogeneous", None),
+    (HALF_SPAN, "time_grid_s", "points"),
+    (START_STOP, "time_grid_s", "stop_s"),
+    (HALF_SPAN, "sweep", None),
+    (HALF_SPAN, "sweep.rows.6", "sigma_sig"),
+], ids=["top", "sequence", "delta", "inhomogeneous", "homogeneous", "half-span-grid",
+        "start-stop-grid", "sweep", "sweep-row"])
+def test_every_config_level_names_unknown_and_missing_keys(tmp_path, capsys, monkeypatch,
+                                                           grid, path, required):
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    argv = ["sweep-n", "--config", str(tmp_path / "cfg.json"), "--n", "6",
+            "--outdir", str(tmp_path)]
+    prefix = f"{path}." if path else ""
+    doc = _every_level_doc(dict(grid))
+    build_experiment(doc), _parse_sweep_section(doc)  # the document itself is valid
+    _entry(doc, path.split(".") if path else [])["bogus"] = 1
+    write_config(tmp_path / "cfg.json", doc)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {prefix}bogus: unknown key" in err
+    assert "Traceback" not in err
+    if required is not None:
+        doc = _every_level_doc(dict(grid))
+        del _entry(doc, path.split(".") if path else [])[required]
+        write_config(tmp_path / "cfg.json", doc)
+        assert main(argv) == 2
+        assert f"error: {prefix}{required}: required key is missing" in capsys.readouterr().err
+
+
 def test_bare_number_frequency_exits_2(tmp_path, capsys):
     doc = ramsey_doc()
     doc["sequence"]["delta"] = 8600.0
@@ -286,6 +336,18 @@ def test_sweep_empty_n_list_exits_2(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+def test_sigmas_with_an_overflowing_quadrature_sum_exit_3(tmp_path, capsys, monkeypatch):
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    doc = sweep_doc()
+    doc["homogeneous"] = {"sigmas": [{"value": 1e200, "angular": True}]}
+    config = write_config(tmp_path / "cfg.json", doc)
+    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: sigmas [1e+200]: the quadrature sum is not finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["fit", "--data", "{tmp}/missing.csv", "--model", "ramsey"],
     ["fit", "--data", "{tmp}/missing.csv", "--model", "visibility", "--n", "1"],
@@ -297,6 +359,31 @@ def test_unusable_data_or_output_path_exits_2_naming_it(ramsey_run, tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+DATASET_HEADER = b"time_s,fraction,trials,successes\n"
+VISIBILITY_HEADER = b"total_time_s,visibility,visibility_err\n"
+SIMULATE = ["simulate", "--config", "{path}", "--output", "{tmp}/x"]
+FIT_DATASET = ["fit", "--data", "{path}", "--model", "ramsey"]
+FIT_VISIBILITY = ["fit", "--data", "{path}", "--model", "visibility", "--n", "1"]
+
+
+@pytest.mark.parametrize("command, content", [
+    (SIMULATE, b'{"sequence": {"kind": "ramsey\xff"}}'),
+    (SIMULATE, b"[" * 100_000),
+    (FIT_DATASET, DATASET_HEADER + b"0.001,0.5,100,50\n0.002,0.5,100,5\xe9\n"),
+    (FIT_DATASET, DATASET_HEADER + b"0.001,0.5,100," + b"5" * 131_073 + b"\n"),
+    (FIT_VISIBILITY, VISIBILITY_HEADER + b"0.1,0.5,0.01\n\x80\n"),
+    (FIT_VISIBILITY, VISIBILITY_HEADER + b"0.1,0.5," + b"1" * 131_073 + b"\n"),
+], ids=["config-not-utf8", "config-nested-1e5-deep", "dataset-not-utf8",
+        "dataset-long-field", "visibility-not-utf8", "visibility-long-field"])
+def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, command, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([arg.format(path=path, tmp=tmp_path) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
     assert "Traceback" not in err
 
 
@@ -377,6 +464,19 @@ def test_sweep_reruns_are_byte_identical(table_sweep, tmp_path):
     rc = main(["sweep-n", "--config", config, "--n", "1,6",
                "--outdir", str(tmp_path), "--workers", "4"])
     assert rc == 0
+    for name in ("visibility_n1.csv", "visibility_n6.csv", "summary.json"):
+        assert filecmp.cmp(table_sweep / name, tmp_path / name, shallow=False)
+
+
+def test_inverted_readout_sweep_gives_the_same_visibilities(table_sweep, tmp_path):
+    # (1 + c*w)/2 = 1 - (1 - c*w)/2: the flipped readout is the same fringe, counted
+    # from the other state, so the scan fits identical visibilities at the same seed.
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}, "contrast": 0.687},
+            "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 0.602}}
+    doc = sweep_doc(seed=7, rows=rows)
+    doc["invert_fraction"] = True
+    config = write_config(tmp_path / "cfg.json", doc)
+    assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(tmp_path)]) == 0
     for name in ("visibility_n1.csv", "visibility_n6.csv", "summary.json"):
         assert filecmp.cmp(table_sweep / name, tmp_path / name, shallow=False)
 
@@ -520,3 +620,26 @@ def test_any_config_value_is_rejected_by_name_or_parsed_finite(doc):
         assert all(math.isfinite(x) for x in _numbers(parsed))
         if parse is build_experiment:
             assert parsed.rng_seed >= 0
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("arbitrary_bytes") / "input"
+
+
+READERS = [
+    (FringeDataset.read_csv, DATASET_HEADER),
+    (read_visibility_csv, VISIBILITY_HEADER),
+    (_load_document, b'{"rng_seed": 7,\n'),
+]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(READERS), st.booleans(), st.binary(max_size=200))
+def test_any_input_bytes_are_read_or_rejected_as_malformed(input_file, reader, prefixed, body):
+    read, header = reader
+    input_file.write_bytes(header + body if prefixed else body)
+    try:
+        read(input_file)
+    except (DataFormatError, ConfigError):
+        pass

@@ -1,4 +1,4 @@
-"""Noise-source distributions and trace reduction."""
+"""Noise-source distributions: the light-shift law and the detuning jumps."""
 
 import math
 
@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dephasim.bloch import SegmentDetunings, jump_weights
+from dephasim.bloch import jump_weights
 from dephasim.errors import DomainError
 from dephasim.noise import (
-    DetuningTrace,
     HomogeneousNoiseSpec,
     LightShiftDistribution,
     lightshift_cdf,
     lightshift_pdf,
     lightshift_sample,
-    reduce_trace,
     sample_jump_phase,
-    white_piecewise_trace,
 )
 
 DIST = LightShiftDistribution(delta0=2 * np.pi * 1.0e3, eta=1.4e-3 / 0.97)
@@ -184,72 +181,15 @@ def test_sigma_sig_is_recomputed_quadrature_sum():
         HomogeneousNoiseSpec([1.0, -2.0])
 
 
-# ---------------------------------------------------------------- trace reduction
+@pytest.mark.parametrize("make", [
+    lambda: HomogeneousNoiseSpec([1e200]),
+    lambda: HomogeneousNoiseSpec([1.0, math.inf]),
+    lambda: HomogeneousNoiseSpec.from_sigma_sig(1e200, 6),
+], ids=["square-overflows", "infinite-sigma", "split-total-overflows"])
+def test_sigmas_whose_quadrature_sum_is_not_finite_are_rejected(make):
+    with pytest.raises(DomainError, match="quadrature sum is not finite"):
+        make()
 
 
-def test_constant_trace_reduces_to_zero_jumps():
-    trace = DetuningTrace([0.0, 1.0], [7.5, 7.5], kind="sampled")
-    seg = reduce_trace(trace, tau=0.1, n=4)
-    assert seg.base == pytest.approx(np.full(4, 7.5), abs=1e-12)
-    assert seg.jumps == pytest.approx(np.zeros(4), abs=1e-12)
-
-
-def test_step_trace_jump_equals_step_height():
-    a, b, tau = -3.0, 11.0, 2e-3
-    trace = DetuningTrace([0.0, tau, 2 * tau], [a, b], kind="piecewise_constant")
-    seg = reduce_trace(trace, tau=tau, n=1)
-    assert seg.base[0] == pytest.approx(a, abs=1e-12)
-    assert seg.jumps[0] == pytest.approx(b - a, abs=1e-12)
-
-
-def test_linear_drift_jump_is_rate_times_tau():
-    # delta(t) = gamma*t: averages gamma*tau/2 and 3*gamma*tau/2, difference gamma*tau.
-    gamma, tau = 250.0, 4e-3
-    times = np.linspace(0.0, 2 * tau, 2)
-    trace = DetuningTrace(times, gamma * times, kind="sampled")
-    seg = reduce_trace(trace, tau=tau, n=1)
-    assert seg.base[0] == pytest.approx(gamma * tau / 2, rel=1e-12)
-    assert seg.jumps[0] == pytest.approx(gamma * tau, rel=1e-12)
-
-
-def test_reduce_rejects_short_trace():
-    trace = DetuningTrace([0.0, 1e-3], [1.0, 1.0], kind="sampled")
-    with pytest.raises(DomainError):
-        reduce_trace(trace, tau=1e-3, n=1)  # needs coverage to 2e-3
-    with pytest.raises(DomainError):
-        reduce_trace(DetuningTrace([1e-4, 5e-3], [1.0, 1.0]), tau=1e-3, n=1)
-
-
-def test_reduce_is_linear_in_the_trace():
-    rng = np.random.default_rng(205)
-    tau, n = 1.3e-3, 3
-    times = np.linspace(0.0, 2 * n * tau, 41)
-    f = rng.normal(0, 50, times.size)
-    g = rng.normal(0, 50, times.size)
-    a, b = 2.5, -0.7
-    seg_f = reduce_trace(DetuningTrace(times, f), tau, n)
-    seg_g = reduce_trace(DetuningTrace(times, g), tau, n)
-    seg_mix = reduce_trace(DetuningTrace(times, a * f + b * g), tau, n)
-    assert seg_mix.base == pytest.approx(a * seg_f.base + b * seg_g.base, abs=1e-10)
-    assert seg_mix.jumps == pytest.approx(a * seg_f.jumps + b * seg_g.jumps, abs=1e-10)
-
-
-def test_white_trace_jump_variance_is_twice_level_variance():
-    rng = np.random.default_rng(206)
-    std, tau, n = 35.0, 2e-3, 2
-    jumps = np.array(
-        [
-            reduce_trace(white_piecewise_trace(std, tau, n, rng), tau, n).jumps
-            for _ in range(20_000)
-        ]
-    )
-    assert np.var(jumps, axis=0) == pytest.approx(2 * std**2, rel=0.02)
-
-
-def test_reduce_returns_segment_detunings_consumable_by_bloch():
-    rng = np.random.default_rng(207)
-    tau, n = 1e-3, 2
-    trace = white_piecewise_trace(20.0, tau, n, rng)
-    seg = reduce_trace(trace, tau, n)
-    assert isinstance(seg, SegmentDetunings)
-    assert seg.n == n
+def test_largest_finite_quadrature_sum_is_kept():
+    assert HomogeneousNoiseSpec([1e150, 1e150]).sigma_sig == pytest.approx(math.sqrt(2) * 1e150)
