@@ -133,17 +133,26 @@ def _read(doc: dict, table: dict, path: str) -> dict:
     return out
 
 
-def _load_document(path) -> dict:
+def _load_document(path) -> tuple[dict, bytes]:
+    """The config document at ``path`` and the bytes it was parsed from (read once)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        doc = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ConfigError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be an object")
-    return doc
+    return doc, raw
+
+
+def _refuse_to_overwrite(config_path, outputs) -> None:
+    """Reject, before anything is written, an output path that is the config file."""
+    for out in outputs:
+        if os.path.exists(out) and os.path.samefile(out, config_path):
+            raise ConfigError(str(out), "this output path is the config file; nothing was written")
 
 
 def _exactly_one(section: dict, first: str, second: str, path: str) -> str:
@@ -236,12 +245,10 @@ def _parse_sweep_section(doc: dict) -> dict:
 # -------------------------------------------------------------- outputs
 
 
-def _write_manifest(path, config_path, seed: int, command: str) -> None:
-    with open(config_path, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
+def _write_manifest(path, config_bytes: bytes, seed: int, command: str) -> None:
     manifest = {
         "command": command,
-        "config_sha256": digest,
+        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "rng_seed": seed,
         "package_version": __version__,
     }
@@ -261,7 +268,7 @@ def write_visibility_csv(path, points) -> None:
 
 
 def read_visibility_csv(path):
-    """Read a visibility table into WeightedPoints (weight = 1/err**2)."""
+    """Read a visibility table into FitData (weight = 1/err**2)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -271,7 +278,7 @@ def read_visibility_csv(path):
                 raise DataFormatError("empty visibility file") from None
             if header != ["total_time_s", "visibility", "visibility_err"]:
                 raise DataFormatError(f"unexpected header {header!r}")
-            times, values, errs = [], [], []
+            times, values, weights = [], [], []
             for index, row in enumerate(reader, start=1):
                 if len(row) != 3:
                     raise DataFormatError(f"expected 3 columns, got {len(row)}", row=index)
@@ -283,12 +290,16 @@ def read_visibility_csv(path):
                     raise DataFormatError(f"non-finite value in {row!r}", row=index)
                 if not e > 0:
                     raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
+                weight = 1.0 / (e * e) if e * e > 0 else math.inf
+                if not 0 < weight < math.inf:
+                    raise DataFormatError(f"visibility_err {e} gives the weight 1/err**2 = "
+                                          f"{weight}, which is not positive and finite", row=index)
                 times.append(t)
                 values.append(v)
-                errs.append(e)
+                weights.append(weight)
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
         raise DataFormatError(f"{path}: {exc}") from None
-    return weighted_points(times, values, yerr=np.array(errs))
+    return weighted_points(times, values, weights=weights)
 
 
 def _print_fit_result(result) -> None:
@@ -306,17 +317,18 @@ def _print_fit_result(result) -> None:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_document(args.config)
+    doc, config_bytes = _load_document(args.config)
     config = build_experiment(doc)
     if not config.time_grid:
         raise ConfigError("time_grid_s", "simulate needs a time grid")
-    dataset = simulate_dataset(config)
     base = args.output
+    _refuse_to_overwrite(args.config, [f"{base}.{ext}" for ext in ("csv", "json", "manifest.json")])
+    dataset = simulate_dataset(config)
     dataset.write_csv(f"{base}.csv")
     with open(f"{base}.json", "w", encoding="utf-8", newline="") as handle:
         handle.write(dataset.to_json())
         handle.write("\n")
-    _write_manifest(f"{base}.manifest.json", args.config, config.rng_seed, "simulate")
+    _write_manifest(f"{base}.manifest.json", config_bytes, config.rng_seed, "simulate")
     seq = config.sequence
     print(f"simulated {seq.kind} (n = {seq.n}, tau = {seq.tau} s): "
           f"{len(config.time_grid)} points, {config.cycles_per_point} cycles/point, "
@@ -365,12 +377,14 @@ def cmd_fit(args) -> int:
 def cmd_sweep_n(args) -> int:
     if not (os.path.isdir(args.outdir) and os.access(args.outdir, os.W_OK | os.X_OK)):
         raise ConfigError("outdir", f"{args.outdir!r} is not a writable directory")
-    doc = _load_document(args.config)
+    doc, config_bytes = _load_document(args.config)
     base_config = build_experiment(doc)
     sweep = _parse_sweep_section(doc)
     n_list = args.n
     if not n_list:
         raise ConfigError("n", "sweep-n needs a non-empty pulse-number list")
+    outputs = [f"visibility_n{n}.csv" for n in n_list] + ["summary.json", "sweep.manifest.json"]
+    _refuse_to_overwrite(args.config, [f"{args.outdir}/{name}" for name in outputs])
     if base_config.homogeneous is None and not sweep["rows"]:
         raise ConfigError("homogeneous", "sweep-n needs homogeneous noise or sweep.rows overrides")
     default_sigma = (base_config.homogeneous.sigma_sig
@@ -423,7 +437,7 @@ def cmd_sweep_n(args) -> int:
     with open(f"{args.outdir}/summary.json", "w", encoding="utf-8", newline="") as handle:
         json.dump({"rows": summary}, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    _write_manifest(f"{args.outdir}/sweep.manifest.json", args.config,
+    _write_manifest(f"{args.outdir}/sweep.manifest.json", config_bytes,
                     base_config.rng_seed, "sweep-n")
     return 0
 

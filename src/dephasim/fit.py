@@ -6,14 +6,15 @@ dependency-free: the problems here are small and smooth, and keeping the
 solver in-module makes its behaviour (step acceptance, damping schedule,
 convergence tests) fully inspectable by the tests.
 
-Wrappers cover every curve the experiment produces: Rabi oscillation, trap
-relaxation, Ramsey/echo/CPMG fringes, and the Gaussian visibility decay whose
-fitted width yields the coherence time T2'.  Each wrapper evaluates the
+Every fit takes one ``FitData`` (arrays x, y and weight = 1/variance, the
+weights checked once, when it is built).  Wrappers cover Rabi oscillation,
+trap relaxation, Ramsey/echo/CPMG fringes, and the Gaussian visibility
+decay whose fitted width yields the coherence time T2'.  Each evaluates the
 model formula of ``dephasim.analytic`` (``_rabi``, ``_t1``, ``_fringe``,
-``_visibility``) and writes none of its own; the fringe fit adds only a
-free visibility and phase and the readout map (1 - w)/2.  Visibility
-extraction is the two-stage procedure used on the real data: fit each
-fringe for its visibility, then fit the visibilities against total time.
+``_visibility``); the fringe fit adds only a free visibility and phase and
+the readout map (1 - w)/2.  Visibility extraction is the two-stage
+procedure used on the real data: fit each fringe for its visibility, then
+fit the visibilities against total time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .analytic import _fringe, _rabi, _readout, _t1, _visibility, t2_prime
 from .errors import FitError
 
 __all__ = [
-    "WeightedPoint",
+    "FitData",
     "FitResult",
     "weighted_points",
     "binomial_weights",
@@ -48,45 +49,53 @@ ERROR_CONVENTION = "1-sigma local curvature scaled by residual variance"
 
 
 @dataclass(frozen=True)
-class WeightedPoint:
-    """One observation: abscissa (seconds), value, and weight (1/variance)."""
+class FitData:
+    """Observations as equal-length float arrays: x (seconds), y and weight (1/variance).
 
-    x: float
-    y: float
-    weight: float = 1.0
+    Every weight must be positive and finite; a FitError names the first point that is not.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise FitError(f"weight must be positive, got {self.weight}")
+        x, y, weight = (np.asarray(a, dtype=float) for a in (self.x, self.y, self.weight))
+        if x.ndim != 1 or not x.shape == y.shape == weight.shape:
+            raise FitError(f"x, y and weight must be 1-D arrays of one length, "
+                           f"got shapes {x.shape}, {y.shape} and {weight.shape}")
+        bad = ~((weight > 0) & (weight < math.inf))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise FitError(f"weight must be positive and finite, got {weight[i]} at point {i}")
+        for name, values in (("x", x), ("y", y), ("weight", weight)):
+            object.__setattr__(self, name, values)
 
 
-def binomial_weights(fractions, trials, floor: float = 1e-4):
-    """Inverse binomial variance max(p*(1-p), floor)/trials.
+_WEIGHT_FLOOR = 1e-4  # smallest p*(1-p) taken as the binomial variance of one trial
 
-    The floor keeps weights finite when a measured fraction is exactly 0 or 1.
-    """
+
+def binomial_weights(fractions, trials):
+    """Inverse binomial variance max(p*(1-p), _WEIGHT_FLOOR)/trials, finite at p = 0 and 1."""
     p = np.asarray(fractions, dtype=float)
-    variance = np.maximum(p * (1.0 - p), floor) / np.asarray(trials, dtype=float)
+    variance = np.maximum(p * (1.0 - p), _WEIGHT_FLOOR) / np.asarray(trials, dtype=float)
     return 1.0 / variance
 
 
-def weighted_points(x, y, yerr=None, weights=None) -> list[WeightedPoint]:
-    """Bundle arrays into WeightedPoints; yerr (1 sigma) takes priority over weights."""
+def weighted_points(x, y, yerr=None, weights=None) -> FitData:
+    """FitData from arrays; yerr (1 sigma) takes priority over weights (default 1)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if yerr is not None:
-        weights = 1.0 / np.asarray(yerr, dtype=float) ** 2
+        with np.errstate(divide="ignore", over="ignore"):  # FitData rejects what overflows
+            weights = 1.0 / np.asarray(yerr, dtype=float) ** 2
     if weights is None:
         weights = np.ones_like(x)
-    weights = np.broadcast_to(np.asarray(weights, dtype=float), x.shape)
-    return [WeightedPoint(*triple) for triple in zip(x, y, weights)]
+    return FitData(x, y, np.broadcast_to(np.asarray(weights, dtype=float), x.shape))
 
 
-def points_from_counts(times, successes, trials) -> list[WeightedPoint]:
-    """WeightedPoints for binomial count data, weighted by inverse binomial variance."""
-    successes = np.asarray(successes, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    fractions = successes / trials
+def points_from_counts(times, successes, trials) -> FitData:
+    """FitData for binomial count data, weighted by inverse binomial variance."""
+    fractions = np.asarray(successes, dtype=float) / np.asarray(trials, dtype=float)
     return weighted_points(times, fractions, weights=binomial_weights(fractions, trials))
 
 
@@ -167,7 +176,7 @@ _GRAD_TOL = 1e-10
 
 def fit_curve(
     curve,
-    data: list[WeightedPoint],
+    data: FitData,
     initial,
     bounds=None,
     *,
@@ -183,7 +192,7 @@ def fit_curve(
     curve : callable
         ``curve(x_array, theta) -> y_array``; must be finite wherever the
         optimizer can step (respect your own bounds).
-    data : list of WeightedPoint
+    data : FitData
     initial : array-like
         Finite starting parameter vector; at least as many points as
         parameters are required.
@@ -202,17 +211,13 @@ def fit_curve(
     theta = np.asarray(initial, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise FitError(f"initial guess must be finite, got {list(theta)}")
-    if len(data) < theta.size:
-        raise FitError(
-            f"{len(data)} data points cannot constrain {theta.size} parameters"
-        )
+    x, y, w = data.x, data.y, data.weight
+    if x.size < theta.size:
+        raise FitError(f"{x.size} data points cannot constrain {theta.size} parameters")
     if param_names is None:
         param_names = tuple(f"p{i}" for i in range(theta.size))
     units = dict(units or {})
 
-    x = np.array([p.x for p in data], dtype=float)
-    y = np.array([p.y for p in data], dtype=float)
-    w = np.array([p.weight for p in data], dtype=float)
     sqrt_w = np.sqrt(w)
 
     lo = np.full(theta.size, -np.inf)
@@ -282,7 +287,7 @@ def fit_curve(
     jac = numeric_jacobian(curve, x, theta)
     design = jac * sqrt_w[:, None]
     gradient_norm = float(np.linalg.norm(design.T @ (sqrt_w * residuals)))
-    dof = max(len(data) - theta.size, 1)
+    dof = max(x.size - theta.size, 1)
     residual_variance = cost / dof
     try:
         covariance = np.linalg.inv(design.T @ design) * residual_variance
@@ -298,7 +303,7 @@ def fit_curve(
         rss=cost,
         iterations=iterations,
         converged=converged,
-        n_points=len(data),
+        n_points=x.size,
         gradient_norm=gradient_norm,
         stop_reason=stop_reason,
         cost_history=history,
@@ -395,10 +400,9 @@ def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> floa
 # ------------------------------------------------------------------ wrappers
 
 
-def fit_rabi(data: list[WeightedPoint]) -> FitResult:
+def fit_rabi(data: FitData) -> FitResult:
     """Fit offset + contrast*cos(omega_r*t) with a frequency-scan initialization."""
-    x = np.array([p.x for p in data])
-    y = np.array([p.y for p in data])
+    x, y = data.x, data.y
     omega0 = dominant_frequency(x, y)
     contrast0 = math.sqrt(2.0) * float(np.std(y))
     if np.mean(y[x <= np.quantile(x, 0.15)]) < np.mean(y):
@@ -414,11 +418,10 @@ def fit_rabi(data: list[WeightedPoint]) -> FitResult:
     )
 
 
-def fit_t1(data: list[WeightedPoint]) -> FitResult:
+def fit_t1(data: FitData) -> FitResult:
     """Fit equilibrium + amplitude*exp(-t/T1) to a relaxation record."""
-    order = np.argsort([p.x for p in data])
-    x = np.array([p.x for p in data])[order]
-    y = np.array([p.y for p in data])[order]
+    order = np.argsort(data.x)
+    x, y = data.x[order], data.y[order]
     tail = float(np.mean(y[-max(3, y.size // 5):]))
     amplitude0 = float(y[0] - tail)
     if np.ptp(y) == 0.0 or abs(amplitude0) < 1e-12:
@@ -437,7 +440,7 @@ def fit_t1(data: list[WeightedPoint]) -> FitResult:
 
 
 def fit_fringe(
-    data: list[WeightedPoint],
+    data: FitData,
     n: int,
     tau: float,
     t2_star: float | None = math.inf,
@@ -451,14 +454,13 @@ def fit_fringe(
 
     Parameters
     ----------
-    data : list of WeightedPoint
+    data : FitData
         Fractions scanned around t = 2*n*tau (absolute times).
     n, tau : sequence geometry (n = 0, tau = 0 for Ramsey).
     t2_star : float or None
         Fixed envelope 1/e time, or None to co-fit it.
     """
-    x = np.array([p.x for p in data])
-    y = np.array([p.y for p in data])
+    x, y = data.x, data.y
     visibility0 = min(1.0, max(0.05, float(np.ptp(y))))
     delta0 = dominant_frequency(x, y)
     theta0 = [visibility0, delta0, 0.0]
@@ -474,6 +476,10 @@ def fit_fringe(
     def curve(t, theta):
         scale = theta[3] if t2_star is None else t2_star
         return _readout(_fringe(t - offset, *theta[:3], scale, n), False)
+
+    start = curve(x, theta0)
+    if np.dot(y - np.mean(y), start - np.mean(start)) < 0:
+        theta0[2] = math.pi  # data anti-correlate with the phase-0 start: the flipped branch
 
     result = fit_curve(
         curve,
@@ -491,7 +497,7 @@ def fit_fringe(
     return result
 
 
-def fit_visibility_decay(points: list[WeightedPoint], n: int) -> FitResult:
+def fit_visibility_decay(data: FitData, n: int) -> FitResult:
     """Fit C0*exp(-(1/2)*(t/2n)**2*sigma_sig**2) to visibility-vs-total-time points.
 
     Reports the derived coherence time t2_prime = 2*sqrt(2)*n/sigma_sig with
@@ -499,9 +505,8 @@ def fit_visibility_decay(points: list[WeightedPoint], n: int) -> FitResult:
     """
     if n < 1:
         raise FitError(f"visibility decay requires n >= 1, got {n}")
-    order = np.argsort([p.x for p in points])
-    x = np.array([p.x for p in points])[order]
-    y = np.array([p.y for p in points])[order]
+    order = np.argsort(data.x)
+    x, y = data.x[order], data.y[order]
     c0_guess = min(1.2, max(0.01, float(y[0])))
     halved = np.nonzero(y <= c0_guess / 2)[0]
     t_half = float(x[halved[0]]) if halved.size and x[halved[0]] > 0 else float(x[-1])
@@ -509,7 +514,7 @@ def fit_visibility_decay(points: list[WeightedPoint], n: int) -> FitResult:
 
     result = fit_curve(
         lambda t, theta: _visibility(t, *theta, n),
-        points,
+        data,
         [c0_guess, sigma0],
         bounds=[(0.0, 1.2), (0.0, None)],
         model="visibility",

@@ -187,7 +187,7 @@ class FringeDataset:
         return self.successes / self.trials
 
     def points(self):
-        """WeightedPoints with inverse binomial-variance weights, for fitting."""
+        """FitData with inverse binomial-variance weights, for fitting."""
         return points_from_counts(self.times, self.successes, self.trials)
 
     def write_csv(self, path) -> None:
@@ -315,16 +315,18 @@ class VisibilityPoint:
     message: str = ""
 
 
+_CARRIER_PERIODS = 3.0  # fringe periods a scan covers, when 0.95 tau on each side allows
+
+
 def scan_visibility(
     config: ExperimentConfig,
     tau_grid,
     points_per_fringe: int = 31,
-    carrier_periods: float = 3.0,
 ) -> list[VisibilityPoint]:
     """Two-stage visibility extraction over a grid of pulse spacings.
 
     For each tau, the readout pulse time is scanned symmetrically around the
-    echo time 2*n*tau (covering ``carrier_periods`` fringe periods), a
+    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods), a
     dataset is simulated, and its fitted visibility recorded.  Fit failures
     are reported per point (``ok = False``), never raised.
     """
@@ -343,7 +345,7 @@ def scan_visibility(
     points = []
     for j, tau in enumerate(tau_grid):
         tau = float(tau)
-        half_span = min(carrier_periods * math.pi / abs(carrier), 0.95 * tau)
+        half_span = min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau)
         echo_time = 2 * seq.n * tau
         grid = echo_time + np.linspace(-half_span, half_span, points_per_fringe)
         sub_seed = int(np.random.SeedSequence(

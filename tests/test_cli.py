@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from dephasim.cli import (
     _load_document, _parse_sweep_section, build_experiment, main, read_visibility_csv,
+    write_visibility_csv,
 )
 from dephasim.errors import ConfigError, DataFormatError, DomainError
 from dephasim.fit import FitResult
-from dephasim.montecarlo import FringeDataset
+from dephasim.montecarlo import FringeDataset, VisibilityPoint
 
 
 def write_config(path, doc):
@@ -70,7 +72,6 @@ def test_simulate_outputs_and_manifest(ramsey_run):
     assert manifest["rng_seed"] == 19
     assert manifest["command"] == "simulate"
     assert len(manifest["config_sha256"]) == 64
-    import hashlib
     raw = (ramsey_run / "cfg.json").read_bytes()
     assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
 
@@ -136,6 +137,17 @@ def test_fit_visibility_non_finite_row_exits_2(tmp_path, capsys, row):
     bad.write_text("total_time_s,visibility,visibility_err\n"
                    f"0.1,0.5,0.01\n{row}\n0.3,0.3,0.01\n", encoding="utf-8")
     assert main(["fit", "--data", str(bad), "--model", "visibility", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err
+    assert "Traceback" not in err
+
+
+def test_fit_visibility_error_whose_weight_overflows_exits_2(tmp_path, capsys):
+    # 1/(1e-200)**2 is inf: the row is named instead of fitted with an infinite weight.
+    bad = tmp_path / "vis.csv"
+    bad.write_text("total_time_s,visibility,visibility_err\n0.1,0.6,0.01\n0.2,0.5,1e-200\n"
+                   "0.3,0.4,0.01\n0.4,0.3,0.01\n", encoding="utf-8")
+    assert main(["fit", "--data", str(bad), "--model", "visibility", "--n", "2"]) == 2
     err = capsys.readouterr().err
     assert "row 2" in err
     assert "Traceback" not in err
@@ -362,6 +374,29 @@ def test_unusable_data_or_output_path_exits_2_naming_it(ramsey_run, tmp_path, ca
     assert "Traceback" not in err
 
 
+def test_an_output_onto_the_config_exits_2_and_the_manifest_hashes_the_config(
+        tmp_path, capsys, monkeypatch):
+    doc = ramsey_doc()
+    doc["time_grid_s"]["points"] = 5
+    config = write_config(tmp_path / "run.json", doc)
+    raw = (tmp_path / "run.json").read_bytes()
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "run")]) == 2
+    assert str(tmp_path / "run.json") in capsys.readouterr().err
+    assert (tmp_path / "run.json").read_bytes() == raw
+    assert not (tmp_path / "run.csv").exists()
+
+    monkeypatch.setattr("dephasim.cli.scan_visibility", None)  # never reached
+    sweep = write_config(tmp_path / "summary.json", sweep_doc(sigma_sig=40.0))
+    sweep_raw = (tmp_path / "summary.json").read_bytes()
+    assert main(["sweep-n", "--config", sweep, "--n", "1", "--outdir", str(tmp_path)]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert (tmp_path / "summary.json").read_bytes() == sweep_raw
+
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "other")]) == 0
+    manifest = json.loads((tmp_path / "other.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
 DATASET_HEADER = b"time_s,fraction,trials,successes\n"
 VISIBILITY_HEADER = b"total_time_s,visibility,visibility_err\n"
 SIMULATE = ["simulate", "--config", "{path}", "--output", "{tmp}/x"]
@@ -423,11 +458,11 @@ def test_sweep_sixfold_coherence_gain_is_about_three(table_sweep):
 
 def test_sweep_visibility_tables_parse_and_decay(table_sweep):
     for n in (1, 6):
-        points = read_visibility_csv(table_sweep / f"visibility_n{n}.csv")
-        assert len(points) == 10
-        times = [p.x for p in points]
+        data = read_visibility_csv(table_sweep / f"visibility_n{n}.csv")
+        assert data.x.size == 10
+        times = list(data.x)
         assert times == sorted(times)
-        values = [p.y for p in points]
+        values = data.y
         assert values[0] > values[-1]   # visibility decays over the scan
 
 
@@ -643,3 +678,34 @@ def test_any_input_bytes_are_read_or_rejected_as_malformed(input_file, reader, p
         read(input_file)
     except (DataFormatError, ConfigError):
         pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def count_rows(draw):
+    trials = draw(st.integers(1, 10**12))
+    return draw(FINITE), draw(st.integers(0, trials)), trials
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(count_rows(), min_size=1, max_size=20))
+def test_dataset_csv_round_trip_is_bit_exact(input_file, rows):
+    times, successes, trials = (np.array(column) for column in zip(*rows))
+    FringeDataset(times, successes, trials).write_csv(input_file)
+    back = FringeDataset.read_csv(input_file)
+    assert back.times.tobytes() == times.astype(float).tobytes()
+    assert np.array_equal(back.successes, successes)
+    assert np.array_equal(back.trials, trials)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE, st.floats(1e-150, 1e150)), min_size=1, max_size=20))
+def test_visibility_csv_round_trip_is_bit_exact(input_file, rows):
+    write_visibility_csv(input_file, [VisibilityPoint(t, v, e, ok=True) for t, v, e in rows])
+    data = read_visibility_csv(input_file)
+    times, values, errs = (np.array(column) for column in zip(*rows))
+    assert data.x.tobytes() == times.tobytes()
+    assert data.y.tobytes() == values.tobytes()
+    assert data.weight.tobytes() == (1 / errs**2).tobytes()

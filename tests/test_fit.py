@@ -24,7 +24,6 @@ from dephasim.errors import FitError
 from dephasim.fit import (
     FITTERS,
     FitResult,
-    WeightedPoint,
     binomial_weights,
     dominant_frequency,
     fit_curve,
@@ -123,7 +122,13 @@ def test_insufficient_points_and_bad_initial_rejected():
     with pytest.raises(FitError):
         fit_curve(lambda t, th: th[0] * t + th[1], data, [math.nan, 0.0])
     with pytest.raises(FitError):
-        WeightedPoint(0.0, 1.0, weight=0.0)
+        weighted_points([0.0], [1.0], weights=[0.0])
+
+
+def test_an_error_whose_weight_overflows_is_rejected():
+    # 1/(1e-200)**2 is inf: the weight rule names the point instead of fitting with it.
+    with pytest.raises(FitError, match="point 0"):
+        weighted_points([0.0, 1.0], [0.0, 1.0], yerr=[1e-200, 1.0])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -417,6 +422,23 @@ def test_fixed_t2_star_is_reported_as_held():
     assert "fixed" in res.units["t2_star"]
 
 
+def test_echo_fringe_fits_complementary_counts_on_the_flipped_branch():
+    # 1 - (1 - c*w)/2 is the same fringe counted from the other state: its fit starts at
+    # phase pi and finds the same visibility instead of walking it down to 0.
+    n, tau = 1, 0.005
+    seq = SequenceSpec("spin_echo", n, tau=tau, delta=2 * math.pi * 1.5e3)
+    grid = tuple(2 * n * tau + np.linspace(-1.5e-3, 1.5e-3, 41))
+    dataset = simulate_dataset(ExperimentConfig(
+        sequence=seq, time_grid=grid, cycles_per_point=200, rng_seed=3, contrast=0.8))
+    direct = fit_fringe(dataset.points(), n=n, tau=tau)
+    flipped = fit_fringe(points_from_counts(dataset.times, dataset.trials - dataset.successes,
+                                            dataset.trials), n=n, tau=tau)
+    assert flipped.converged
+    assert flipped.params["visibility"] == pytest.approx(direct.params["visibility"], rel=1e-6)
+    turn = (flipped.params["phase"] - direct.params["phase"] - math.pi) % (2 * math.pi)
+    assert min(turn, 2 * math.pi - turn) < 1e-4
+
+
 # ------------------------------------------------------------------ visibility decay
 
 
@@ -502,10 +524,8 @@ def test_round_trip_identifiability_all_wrappers():
 
 def _weighted_rss(data, model_y):
     """The cost fit_curve minimizes, in its arithmetic order: sum(w * r * r)."""
-    y = np.array([p.y for p in data])
-    w = np.array([p.weight for p in data])
-    r = y - model_y
-    return float(np.sum(w * r * r))
+    r = data.y - model_y
+    return float(np.sum(data.weight * r * r))
 
 
 def test_fits_evaluate_the_public_models():
