@@ -383,6 +383,8 @@ def cmd_sweep_n(args) -> int:
     n_list = args.n
     if not n_list:
         raise ConfigError("n", "sweep-n needs a non-empty pulse-number list")
+    if len(set(n_list)) < len(n_list):
+        raise ConfigError("n", f"each pulse number may appear once, got {n_list}")
     outputs = [f"visibility_n{n}.csv" for n in n_list] + ["summary.json", "sweep.manifest.json"]
     _refuse_to_overwrite(args.config, [f"{args.outdir}/{name}" for name in outputs])
     if base_config.homogeneous is None and not sweep["rows"]:
@@ -390,7 +392,8 @@ def cmd_sweep_n(args) -> int:
     default_sigma = (base_config.homogeneous.sigma_sig
                      if base_config.homogeneous is not None else None)
 
-    summary = []
+    # Every row's config is built, and so checked, before the first scan writes a file.
+    plan = []
     for n in n_list:
         if n < 1:
             raise ConfigError("n", f"pulse numbers must be >= 1, got {n}")
@@ -407,8 +410,11 @@ def cmd_sweep_n(args) -> int:
             homogeneous=HomogeneousNoiseSpec.from_sigma_sig(sigma_sig, n),
         )
         lo, hi = sweep["span"]
-        predicted = t2_prime(n, sigma_sig)
-        taus = predicted * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
+        taus = t2_prime(n, sigma_sig) * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
+        plan.append((n, config, taus))
+
+    summary = []
+    for n, config, taus in plan:
         points = scan_visibility(config, taus, points_per_fringe=sweep["points_per_fringe"])
         write_visibility_csv(f"{args.outdir}/visibility_n{n}.csv", points)
         usable = [p for p in points if p.ok]

@@ -17,6 +17,15 @@ statistics are emulated by drawing successes from a binomial with
 ``cycles_per_point`` trials.  A visibility scan of an ``invert_fraction``
 config fits the complementary counts, the same fringe in the default readout.
 
+Kernel precision: over noise draws, each phase is reduced to [-pi, pi] in
+float64 and its cosine taken in float32 (numpy's SIMD cosine), then the
+cosines are averaged in float64.  Per draw, and so in the mean, this is within
+3e-7 of the float64 cosine for |Phi| <= 2**30 (the Monte Carlo standard error
+of the mean at a dephased point is about 5e-3 at 20 000 draws); a batch with a
+larger or non-finite phase takes the float64 cosine.  A noise-free config (no
+inhomogeneous noise, and no homogeneous noise at n >= 1) is one deterministic
+phase and stays exact float64.
+
 Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The noise of each grid point is drawn
 from it in grid order, then all success counts in one binomial call, so the
@@ -253,25 +262,61 @@ class FringeDataset:
 # ---------------------------------------------------------- noise averages
 
 
+# Phases within +-2**30 rad go through the float32 cosine after reduction.
+_FLOAT32_PHASE_LIMIT = 2.0**30
+# 2*pi in two parts: _TWO_PI_HI has 24 significant bits, so k*_TWO_PI_HI is
+# exact for the |k| < 2**28 turns below the limit, and only the small second
+# product rounds.  What remains is 2*pi's own float64 rounding, |Phi|*4e-17.
+_TWO_PI_HI = float(np.float32(2 * math.pi))
+_TWO_PI_LO = 2 * math.pi - _TWO_PI_HI
+
+
+def _mean_cos(phase: np.ndarray):
+    """Mean of cos(phase) over a batch of draws, through a float32 cosine.
+
+    Each phase is reduced in place to r = phase - 2*pi*rint(phase/(2*pi)),
+    |r| <= pi, in float64; cos(r) is taken in float32 and averaged in float64.
+    Per draw the error against float64 ``np.cos`` is at most 2**-23 (rounding
+    r to float32) + 2 ulp (the float32 cosine) + |phase|*4e-17 (the reduction),
+    below 3e-7 for |phase| <= 2**30.  An empty, non-finite or larger batch gets
+    ``np.mean(np.cos(phase))``, with its value and warnings unchanged.
+    """
+    limit = _FLOAT32_PHASE_LIMIT
+    if not (phase.size and phase.max() <= limit and phase.min() >= -limit):
+        return np.mean(np.cos(phase))
+    turns = phase * (1.0 / (2 * math.pi))
+    np.rint(turns, out=turns)
+    phase -= turns * _TWO_PI_HI
+    turns *= _TWO_PI_LO
+    phase -= turns
+    reduced = phase.astype(np.float32)
+    return np.mean(np.cos(reduced, out=reduced), dtype=np.float64)
+
+
 def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | None = None) -> float:
     """Ensemble-averaged success probability at readout time t.
 
     Vectorizes ``draws`` independent noise realizations (default
     ``config.noise_draws``); with no noise configured a single deterministic
-    evaluation is taken.
+    evaluation is taken.  The mean over draws uses a float32 cosine of the
+    float64-reduced phase (``_mean_cos``: within 3e-7 per draw for
+    |Phi| <= 2**30); a phase that no noise draw enters keeps the exact float64
+    cosine.
     """
     seq = config.sequence
-    if config.inhomogeneous is None and config.homogeneous is None:
-        draws = 1
-    elif draws is None:
-        draws = config.noise_draws
+    draws = config.noise_draws if draws is None else draws
+    jumps = config.homogeneous is not None and seq.n >= 1
     delta_eff = seq.delta - config.zeeman_shift
     if config.inhomogeneous is not None:
         delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
     phase = accumulated_phase(delta_eff, seq.tau, seq.n, t)
-    if config.homogeneous is not None and seq.n >= 1:
+    if jumps:
         phase = phase + sample_jump_phase(config.homogeneous, seq.tau, t, rng, size=draws)
-    w = (-1.0) ** seq.n * np.mean(np.cos(phase))  # |w| <= 1: no range check needed
+    if config.inhomogeneous is None and not jumps:  # one deterministic phase
+        mean_cos = np.mean(np.cos(phase))
+    else:
+        mean_cos = _mean_cos(phase)
+    w = (-1.0) ** seq.n * mean_cos  # |w| <= 1: no range check needed
     return _readout(config.contrast * w, config.invert_fraction)
 
 

@@ -433,6 +433,22 @@ def test_sweep_missing_outdir_exits_2_before_scanning(tmp_path, capsys, monkeypa
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_list, key", [("1,2", "sweep.rows.2"), ("6,0", "n"), ("1,6,1", "n")])
+def test_sweep_checks_every_n_before_the_first_scan(tmp_path, capsys, n_list, key):
+    # The README sweep config has rows for n = 1 and 6 only and no homogeneous
+    # noise, so n = 2 has no sigma_sig; n = 0 is no pulse number; a repeated n
+    # would scan twice into one table.
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}, "contrast": 0.687},
+            "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 0.602}}
+    config = write_config(tmp_path / "cfg.json", sweep_doc(rows=rows))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    rc = main(["sweep-n", "--config", config, "--n", n_list, "--outdir", str(outdir)])
+    assert rc == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def table_sweep(tmp_path_factory):
     root = tmp_path_factory.mktemp("table_sweep")

@@ -3,6 +3,7 @@ measurement emulation, determinism, and the two-stage visibility pipeline."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from dephasim.montecarlo import (
     ExperimentConfig,
     FringeDataset,
     VisibilityPoint,
+    _mean_cos,
     binomial_dataset,
     ensemble_probability,
     scan_visibility,
@@ -50,6 +52,67 @@ def echo_config(**overrides):
     base = dict(sequence=seq, time_grid=(0.0103,), rng_seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# ------------------------------------------------------------ cosine kernel
+
+# Per-draw bound of the float32 cosine kernel against float64 np.cos, fixed
+# before any run.  Rounding the reduced phase |r| <= pi < 4 to float32 costs
+# at most half an ulp, 2**-23 = 1.19e-7; numpy's float32 cosine is within
+# 2 ulp of a value in [-1, 1], 2 * 2**-24 = 1.19e-7; the float64 reduction
+# leaves |Phi| * 4e-17, 4.3e-8 at |Phi| = 2**30.  Sum 2.8e-7, bound 3e-7.
+KERNEL_BOUND = 3e-7
+
+
+def test_float32_kernel_within_its_bound_per_draw():
+    rng = np.random.default_rng(2024)
+    scales = [2.0**e for e in (0, 2, 5, 10, 20, 26, 29, 30)]
+    uniform = np.concatenate([rng.uniform(-s, s, 2000) for s in scales])
+    turns = 2 * np.pi * np.array([1.0, 2.0, 7.0, 1000.0, 123457.0, 2.0**26, -3.0, -2.0**27])
+    edges = np.concatenate([turns, np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf)])
+    special = np.array([0.0, -0.0, np.pi, -np.pi, np.pi / 2, 2.0**30, -(2.0**30)])
+    phases = np.concatenate([uniform, edges, special])
+    assert np.max(np.abs(phases)) <= 2.0**30
+    got = np.array([_mean_cos(np.array([phi])) for phi in phases])
+    assert np.max(np.abs(got - np.cos(phases))) <= KERNEL_BOUND
+    # and over a whole batch (reduced in place, so hand over a copy)
+    assert abs(_mean_cos(phases.copy()) - np.mean(np.cos(phases))) <= KERNEL_BOUND
+
+
+def _with_warnings(func, phase):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = func(phase.copy())
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("phase", [
+    [np.nextafter(2.0**30, np.inf), 1.0],
+    [0.5, -1e12],
+    [np.inf, 1.0],
+    [2.0, -np.inf],
+    [np.nan, 2.0],
+    [],
+])
+def test_float32_kernel_leaves_large_and_non_finite_phases_to_float64(phase):
+    phase = np.array(phase, dtype=float)
+    value, caught = _with_warnings(_mean_cos, phase)
+    expected, expected_caught = _with_warnings(lambda p: np.mean(np.cos(p)), phase)
+    assert type(value) is type(expected)
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+    assert caught == expected_caught
+
+
+def test_noise_free_phases_keep_the_exact_float64_cosine():
+    # No draw enters the phase (no noise, or homogeneous noise at n = 0): the
+    # one evaluation is the float64 cosine, bit for bit, even at large phases.
+    delta = 2 * math.pi * 8.6e3
+    seq = SequenceSpec("ramsey", 0, delta=delta)
+    rng = np.random.default_rng(1)
+    for homogeneous in (None, HomogeneousNoiseSpec(np.array([50.0]))):
+        cfg = ExperimentConfig(sequence=seq, homogeneous=homogeneous, time_grid=(1.0,))
+        for t in (3.1e-4, 0.0217, 1.9):
+            assert ensemble_probability(cfg, t, rng) == (1.0 - np.cos(delta * t)) / 2.0
 
 
 # ------------------------------------------------------------ single draws
@@ -189,6 +252,41 @@ def test_ramsey_ensemble_within_five_standard_errors_of_exact_oracle(contrast, i
         variance = (1 + mean_cos(2 * t)) / 2 - mean_cos(t) ** 2
         se = contrast / 2 * math.sqrt(variance / draws)
         exact = fraction_from_w(contrast * mean_cos(t), invert=invert)
+        assert abs(ensemble_probability(cfg, t, rng) - exact) <= 5 * se
+
+
+@pytest.mark.parametrize("n, invert", [(1, True), (4, False), (6, True)])
+def test_full_noisy_cpmg_within_five_standard_errors_of_exact_oracle(n, invert):
+    # Both channels at n >= 1: Phi = (delta - zeeman - delta0 - G) x + S with
+    # x = t - 2 n tau, G ~ Gamma(3, eta) and S ~ N(0, sum_i c_i**2 sigma_i**2)
+    # independent, so E[exp(i Phi)] = exp(i a x) (1 + i x/eta)**-3
+    # exp(-s**2/2) with a = delta - zeeman - delta0, and E[cos 2 Phi] is the
+    # same at 2x and 2S.  The standard error of the fraction is
+    # contrast/2 * sqrt(Var[cos Phi]/draws); the bound, fixed before the run,
+    # is 5 of them.
+    tau, contrast, draws = 1e-3, 0.73, 100_000
+    delta, zeeman, delta0 = 2 * math.pi * 1.5e3, 2 * math.pi * 200.0, 2 * math.pi * 300.0
+    sigmas = np.linspace(40.0, 90.0, n)
+    cfg = ExperimentConfig(
+        sequence=SequenceSpec("spin_echo" if n == 1 else "cpmg", n, tau=tau, delta=delta),
+        inhomogeneous=LightShiftDistribution(delta0, ETA),
+        homogeneous=HomogeneousNoiseSpec(sigmas),
+        time_grid=(2 * n * tau,), noise_draws=draws, zeeman_shift=zeeman,
+        contrast=contrast, invert_fraction=invert,
+    )
+    rng = np.random.default_rng(70 + n)
+    a = delta - zeeman - delta0
+
+    def mean_cos(x, s2, k=1):
+        char = np.exp(1j * k * a * x) * (1 + 1j * k * x / ETA) ** -3
+        return char.real * math.exp(-0.5 * k**2 * s2)
+
+    for x in (-0.8 * tau, -0.3 * tau, 0.0, 0.25 * tau, 0.9 * tau):
+        t = 2 * n * tau + x
+        s2 = float(np.sum((jump_weights(tau, n, t) * sigmas) ** 2))
+        variance = (1 + mean_cos(x, s2, 2)) / 2 - mean_cos(x, s2) ** 2
+        se = contrast / 2 * math.sqrt(variance / draws)
+        exact = fraction_from_w(contrast * (-1) ** n * mean_cos(x, s2), invert=invert)
         assert abs(ensemble_probability(cfg, t, rng) - exact) <= 5 * se
 
 
