@@ -26,7 +26,10 @@ exponential trap-lifetime decay used to calibrate the qubit readout.
 Each model's formula is written once, as an unchecked array function
 (``_fringe``, ``_visibility``, ``_rabi``, ``_t1``).  The public model checks
 its arguments and calls it; the fits in ``dephasim.fit`` evaluate the same
-function, so the fitted curve is the documented model.
+function, so the fitted curve is the documented model.  Beside each formula
+is its derivative with respect to the fitted parameters (``_fringe_jacobian``,
+``_visibility_jacobian``, ``_rabi_jacobian``, ``_t1_jacobian``), one column
+per parameter, which the fits take as their Jacobian.
 """
 
 from __future__ import annotations
@@ -100,6 +103,24 @@ def _fringe(x, visibility, delta_prime, phase, t2_star, n):
             * np.cos(delta_prime * x + phase + envelope_kappa(x, t2_star)))
 
 
+def _fringe_jacobian(x, visibility, delta_prime, phase, t2_star, n, with_t2_star):
+    """Columns d/d(visibility, delta_prime, phase) of ``_fringe``, then d/d t2_star if asked.
+
+    With r = x/T2*: d alpha/d T2* = alpha * 2.85 r**2 / (T2* (1 + 0.95 r**2)) and
+    d kappa/d T2* = 2.91 r / (T2* (1 + 0.9409 r**2)).
+    """
+    signed_alpha = (-1.0) ** n * envelope_alpha(x, t2_star)
+    psi = delta_prime * x + phase + envelope_kappa(x, t2_star)
+    cos_part = signed_alpha * np.cos(psi)                # d/d visibility
+    d_psi = -visibility * signed_alpha * np.sin(psi)     # d/d phase
+    columns = [cos_part, d_psi * x, d_psi]
+    if with_t2_star:
+        r = x / t2_star
+        columns.append((visibility * cos_part * 2.85 * r**2 / (1.0 + 0.95 * r**2)
+                        + d_psi * 2.91 * r / (1.0 + 0.9409 * r**2)) / t2_star)
+    return np.column_stack(columns)
+
+
 def fringe_inhomogeneous(t, delta_prime: float, t2_star: float, n: int, tau: float = 0.0):
     """Ensemble-averaged fringe under the shifted-Gamma light-shift law.
 
@@ -119,6 +140,13 @@ def fringe_inhomogeneous(t, delta_prime: float, t2_star: float, n: int, tau: flo
 def _visibility(t, c0, sigma_sig, n):
     """C0 * exp(-(1/2)*(t/2n)**2 * sigma_sig**2), unchecked."""
     return c0 * np.exp(-0.5 * (t / (2 * n)) ** 2 * sigma_sig**2)
+
+
+def _visibility_jacobian(t, c0, sigma_sig, n):
+    """Columns d/d(c0, sigma_sig) of ``_visibility``."""
+    u = (t / (2 * n)) ** 2
+    decay = np.exp(-0.5 * u * sigma_sig**2)
+    return np.column_stack([decay, -c0 * sigma_sig * u * decay])
 
 
 def visibility_cpmg(t, c0: float, sigma_sig: float, n: int):
@@ -170,6 +198,12 @@ def _rabi(t, omega_r, contrast, offset):
     return offset + contrast * np.cos(omega_r * t)
 
 
+def _rabi_jacobian(t, omega_r, contrast, offset):
+    """Columns d/d(omega_r, contrast, offset) of ``_rabi``."""
+    phase = omega_r * t
+    return np.column_stack([-contrast * t * np.sin(phase), np.cos(phase), np.ones_like(phase)])
+
+
 def rabi_fraction(t, omega_r: float, contrast: float, offset: float):
     """Driven-oscillation model offset + contrast*cos(omega_r*t).
 
@@ -186,6 +220,12 @@ def rabi_fraction(t, omega_r: float, contrast: float, offset: float):
 def _t1(t, t1, amplitude, equilibrium):
     """equilibrium + amplitude*exp(-t/T1), unchecked."""
     return equilibrium + amplitude * np.exp(-t / t1)
+
+
+def _t1_jacobian(t, t1, amplitude, equilibrium):
+    """Columns d/d(t1, amplitude, equilibrium) of ``_t1``."""
+    decay = np.exp(-t / t1)
+    return np.column_stack([amplitude * t / t1**2 * decay, decay, np.ones_like(decay)])
 
 
 def t1_fraction(t, t1: float, amplitude: float, equilibrium: float):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import inspect
 import json
@@ -458,7 +459,9 @@ def _parse_n_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {raw!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dephasim",
         description="Simulate and fit single-qubit dephasing experiments "

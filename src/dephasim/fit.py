@@ -1,20 +1,21 @@
 """Nonlinear weighted least squares and model-specific fit wrappers.
 
 The optimizer is a damped Gauss-Newton iteration (Levenberg-Marquardt style
-trust damping) on a numerically differentiated Jacobian.  It is deliberately
-dependency-free: the problems here are small and smooth, and keeping the
-solver in-module makes its behaviour (step acceptance, damping schedule,
-convergence tests) fully inspectable by the tests.
+trust damping) on a Jacobian the caller supplies in closed form.  It is
+deliberately dependency-free: the problems here are small and smooth, and
+keeping the solver in-module makes its behaviour (step acceptance, damping
+schedule, convergence tests) fully inspectable by the tests.
 
 Every fit takes one ``FitData`` (arrays x, y and weight = 1/variance, the
 weights checked once, when it is built).  Wrappers cover Rabi oscillation,
 trap relaxation, Ramsey/echo/CPMG fringes, and the Gaussian visibility
 decay whose fitted width yields the coherence time T2'.  Each evaluates the
 model formula of ``dephasim.analytic`` (``_rabi``, ``_t1``, ``_fringe``,
-``_visibility``); the fringe fit adds only a free visibility and phase and
-the readout map (1 - w)/2.  Visibility extraction is the two-stage
-procedure used on the real data: fit each fringe for its visibility, then
-fit the visibilities against total time.
+``_visibility``) and differentiates it with the derivative written beside
+it (``_rabi_jacobian`` and so on); the fringe fit adds only a free
+visibility and phase and the readout map (1 - w)/2.  Visibility extraction
+is the two-stage procedure used on the real data: fit each fringe for its
+visibility, then fit the visibilities against total time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,18 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import _fringe, _rabi, _readout, _t1, _visibility, t2_prime
+from .analytic import (
+    _fringe,
+    _fringe_jacobian,
+    _rabi,
+    _rabi_jacobian,
+    _readout,
+    _t1,
+    _t1_jacobian,
+    _visibility,
+    _visibility_jacobian,
+    t2_prime,
+)
 from .errors import FitError
 
 __all__ = [
@@ -36,7 +48,6 @@ __all__ = [
     "binomial_weights",
     "points_from_counts",
     "dominant_frequency",
-    "numeric_jacobian",
     "fit_curve",
     "fit_rabi",
     "fit_t1",
@@ -156,20 +167,6 @@ def _finite_or_raise(values, theta, what: str):
     return values
 
 
-def numeric_jacobian(curve, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian d curve / d theta, step max(1e-8, 1e-6*|param|)."""
-    n_params = theta.size
-    jac = np.empty((x.size, n_params))
-    for j in range(n_params):
-        step = max(1e-8, 1e-6 * abs(theta[j]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        jac[:, j] = (np.asarray(curve(x, hi)) - np.asarray(curve(x, lo))) / (2 * step)
-    return _finite_or_raise(jac, theta, "model Jacobian")
-
-
 _COST_TOL = 1e-10
 _GRAD_TOL = 1e-10
 
@@ -180,6 +177,7 @@ def fit_curve(
     initial,
     bounds=None,
     *,
+    jacobian,
     model: str = "custom",
     param_names: tuple[str, ...] | None = None,
     units: dict[str, str] | None = None,
@@ -199,14 +197,20 @@ def fit_curve(
     bounds : optional list of (lo, hi)
         Simple box constraints enforced by projection; use ``None`` entries
         or infinities for open sides.
+    jacobian : callable, keyword-only
+        ``jacobian(x_array, theta) -> array`` of shape (points, parameters):
+        the derivative of ``curve`` with respect to each parameter, in
+        closed form.  It is evaluated once per iteration and once at the
+        end, for the errors, and must be finite like the curve.
 
     Returns
     -------
     FitResult
         Best parameters found.  ``converged`` is False when the iteration cap
         was hit (``stop_reason`` ``"max_iterations"``) or no finite step
-        lowered the cost by damping 1e8 (``"no_step"``); a NaN model output
-        raises FitError instead.
+        lowered the cost by damping 1e8 (``"no_step"``); a non-finite model
+        or Jacobian output, or a Jacobian of the wrong shape, raises FitError
+        instead.
     """
     theta = np.asarray(initial, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -237,6 +241,13 @@ def fit_curve(
         r = y - model_y
         return float(np.sum(w * r * r)), r
 
+    def weighted_jacobian(th):
+        jac = _finite_or_raise(np.asarray(jacobian(x, th), dtype=float), th, "model Jacobian")
+        if jac.shape != (x.size, th.size):
+            raise FitError(f"model Jacobian has shape {jac.shape}, "
+                           f"expected {(x.size, th.size)}")
+        return jac * sqrt_w[:, None]
+
     cost, residuals = cost_and_residuals(theta)
     history = [cost]
     damping = 0.0
@@ -246,8 +257,7 @@ def fit_curve(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        jac = numeric_jacobian(curve, x, theta)
-        design = jac * sqrt_w[:, None]
+        design = weighted_jacobian(theta)
         gradient = design.T @ (sqrt_w * residuals)
         gradient_norm = float(np.linalg.norm(gradient))
         if gradient_norm < _GRAD_TOL:
@@ -284,8 +294,7 @@ def fit_curve(
             converged, stop_reason = True, "cost"
             break
 
-    jac = numeric_jacobian(curve, x, theta)
-    design = jac * sqrt_w[:, None]
+    design = weighted_jacobian(theta)
     gradient_norm = float(np.linalg.norm(design.T @ (sqrt_w * residuals)))
     dof = max(x.size - theta.size, 1)
     residual_variance = cost / dof
@@ -389,7 +398,9 @@ def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> floa
         raise FitError("frequency unidentifiable: degenerate time grid")
     span = float(unique_x[-1] - unique_x[0])
     spacing = float(np.min(np.diff(unique_x)))
-    n_grid = min(max_grid, max(64, int(oversample * span / spacing)))
+    if not math.pi / spacing < math.inf:
+        raise FitError(f"frequency unidentifiable: time spacing {spacing} s is too fine")
+    n_grid = int(min(max_grid, max(64, oversample * span / spacing)))
     omegas = 2 * np.pi * np.linspace(0.5 / span, 0.5 / spacing, n_grid)
     power = _lattice_power(x, centered, omegas)
     if power is None:
@@ -412,6 +423,7 @@ def fit_rabi(data: FitData) -> FitResult:
         data,
         [omega0, contrast0, float(np.mean(y))],
         bounds=[(0.0, None), None, None],
+        jacobian=lambda t, theta: _rabi_jacobian(t, *theta),
         model="rabi",
         param_names=("omega_r", "contrast", "offset"),
         units={"omega_r": "rad/s", "contrast": "", "offset": ""},
@@ -433,6 +445,7 @@ def fit_t1(data: FitData) -> FitResult:
         data,
         [t1_0, amplitude0, tail],
         bounds=[(1e-12, None), None, None],
+        jacobian=lambda t, theta: _t1_jacobian(t, *theta),
         model="t1",
         param_names=("t1", "amplitude", "equilibrium"),
         units={"t1": "s", "amplitude": "", "equilibrium": ""},
@@ -477,6 +490,11 @@ def fit_fringe(
         scale = theta[3] if t2_star is None else t2_star
         return _readout(_fringe(t - offset, *theta[:3], scale, n), False)
 
+    def jacobian(t, theta):
+        scale = theta[3] if t2_star is None else t2_star
+        # the readout (1 - w)/2 scales every derivative of w by -1/2
+        return -0.5 * _fringe_jacobian(t - offset, *theta[:3], scale, n, t2_star is None)
+
     start = curve(x, theta0)
     if np.dot(y - np.mean(y), start - np.mean(start)) < 0:
         theta0[2] = math.pi  # data anti-correlate with the phase-0 start: the flipped branch
@@ -486,6 +504,7 @@ def fit_fringe(
         data,
         theta0,
         bounds=bounds,
+        jacobian=jacobian,
         model={0: "ramsey", 1: "echo_fringe"}.get(n, "cpmg_fringe"),
         param_names=tuple(names),
         units={"visibility": "", "delta_prime": "rad/s", "phase": "rad", "t2_star": "s"},
@@ -507,6 +526,8 @@ def fit_visibility_decay(data: FitData, n: int) -> FitResult:
         raise FitError(f"visibility decay requires n >= 1, got {n}")
     order = np.argsort(data.x)
     x, y = data.x[order], data.y[order]
+    if not x[-1] > 0:
+        raise FitError(f"visibility decay needs a positive total time, got at most {x[-1]}")
     c0_guess = min(1.2, max(0.01, float(y[0])))
     halved = np.nonzero(y <= c0_guess / 2)[0]
     t_half = float(x[halved[0]]) if halved.size and x[halved[0]] > 0 else float(x[-1])
@@ -517,6 +538,7 @@ def fit_visibility_decay(data: FitData, n: int) -> FitResult:
         data,
         [c0_guess, sigma0],
         bounds=[(0.0, 1.2), (0.0, None)],
+        jacobian=lambda t, theta: _visibility_jacobian(t, *theta, n),
         model="visibility",
         param_names=("c0", "sigma_sig"),
         units={"c0": "", "sigma_sig": "rad/s"},

@@ -153,6 +153,23 @@ def test_fit_visibility_error_whose_weight_overflows_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_fit_data_without_a_starting_guess_exits_2(tmp_path, capsys):
+    # no positive total time to scale the decay, and times 5e-324 s apart,
+    # whose frequency grid would reach beyond the largest float
+    vis = tmp_path / "vis.csv"
+    vis.write_text("total_time_s,visibility,visibility_err\n0.0,0.6,0.01\n0.0,0.5,0.01\n",
+                   encoding="utf-8")
+    assert main(["fit", "--data", str(vis), "--model", "visibility", "--n", "2"]) == 2
+    assert "positive total time" in capsys.readouterr().err
+    fine = tmp_path / "fine.csv"
+    fine.write_text("time_s,fraction,trials,successes\n0.0,0.5,100,50\n5e-324,0.25,100,25\n"
+                    "0.001,0.75,100,75\n", encoding="utf-8")
+    assert main(["fit", "--data", str(fine), "--model", "ramsey"]) == 2
+    err = capsys.readouterr().err
+    assert "too fine" in err
+    assert "Traceback" not in err
+
+
 def test_fit_missing_sequence_options_exit_2(ramsey_run, capsys):
     data = str(ramsey_run / "run.csv")
     assert main(["fit", "--data", data, "--model", "echo_fringe"]) == 2
@@ -161,23 +178,39 @@ def test_fit_missing_sequence_options_exit_2(ramsey_run, capsys):
     assert "--n" in capsys.readouterr().err
 
 
-def test_strict_flag_turns_nonconvergence_into_exit_4(ramsey_run, monkeypatch):
-    import dephasim.cli as cli
-
-    original = cli.FITTERS["ramsey"]
-
-    def stalled(points, **kwargs):
-        result = original(points, **kwargs)
+def stalled(fitter):
+    """``fitter`` with every result reported as not converged."""
+    def fit(points, **kwargs):
+        result = fitter(points, **kwargs)
         return FitResult(
             model=result.model, params=result.params, errors=result.errors,
             units=result.units, rss=result.rss, iterations=result.iterations,
             converged=False, n_points=result.n_points,
             gradient_norm=result.gradient_norm, cost_history=result.cost_history)
+    return fit
 
-    monkeypatch.setitem(cli.FITTERS, "ramsey", stalled)
+
+def test_strict_flag_turns_nonconvergence_into_exit_4(ramsey_run, monkeypatch):
+    import dephasim.cli as cli
+
+    monkeypatch.setitem(cli.FITTERS, "ramsey", stalled(cli.FITTERS["ramsey"]))
     data = str(ramsey_run / "run.csv")
     assert main(["fit", "--data", data, "--model", "ramsey"]) == 0
     assert main(["fit", "--data", data, "--model", "ramsey", "--strict"]) == 4
+
+
+def test_main_calls_share_no_state(ramsey_run, monkeypatch, capsys):
+    # The parser is built once per process; nothing one call parsed reaches the next.
+    import dephasim.cli as cli
+
+    monkeypatch.setitem(cli.FITTERS, "ramsey", stalled(cli.FITTERS["ramsey"]))
+    data = str(ramsey_run / "run.csv")
+    assert main(["fit", "--data", data, "--model", "ramsey", "--strict"]) == 4
+    assert main(["fit", "--data", data, "--model", "ramsey"]) == 0
+    assert main(["fit", "--data", data, "--strict"]) == 2    # usage: --model is missing
+    assert "--model" in capsys.readouterr().err
+    assert main(["fit", "--data", data, "--model", "ramsey"]) == 0
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_config_key_exits_2_with_dotted_path(tmp_path, capsys):

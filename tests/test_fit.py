@@ -1,5 +1,6 @@
 """Optimizer behaviour, wrapper recovery at realistic statistics, calibration."""
 
+import inspect
 import json
 import math
 import threading
@@ -7,22 +8,33 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dephasim import fit as fit_module
 from dephasim.analytic import (
     _fringe,
+    _fringe_jacobian,
+    _rabi,
+    _rabi_jacobian,
     _readout,
+    _t1,
+    _t1_jacobian,
+    _visibility,
+    _visibility_jacobian,
     envelope_alpha,
     envelope_kappa,
     fringe_inhomogeneous,
     rabi_fraction,
     t1_fraction,
+    t2_prime,
     visibility_cpmg,
 )
 from dephasim.bloch import SequenceSpec
 from dephasim.errors import FitError
 from dephasim.fit import (
     FITTERS,
+    FitData,
     FitResult,
     binomial_weights,
     dominant_frequency,
@@ -31,7 +43,6 @@ from dephasim.fit import (
     fit_rabi,
     fit_t1,
     fit_visibility_decay,
-    numeric_jacobian,
     points_from_counts,
     weighted_points,
 )
@@ -56,13 +67,43 @@ def visibility_model(t, c0, sigma, n):
     return c0 * np.exp(-0.5 * (np.asarray(t, dtype=float) / (2 * n)) ** 2 * sigma**2)
 
 
+def numeric_jacobian(curve, x, theta):
+    """Central-difference Jacobian d curve / d theta, step max(1e-8, 1e-6*|param|).
+
+    The reference the closed-form Jacobians of dephasim.analytic are checked against.
+    """
+    theta = np.asarray(theta, dtype=float)
+    jac = np.empty((np.size(x), theta.size))
+    for j in range(theta.size):
+        step = max(1e-8, 1e-6 * abs(theta[j]))
+        hi = theta.copy()
+        lo = theta.copy()
+        hi[j] += step
+        lo[j] -= step
+        jac[:, j] = (np.asarray(curve(x, hi)) - np.asarray(curve(x, lo))) / (2 * step)
+    return jac
+
+
+def central_differences(curve):
+    """A fit_curve ``jacobian`` for ``curve`` taken from the central-difference oracle."""
+    return lambda x, theta: numeric_jacobian(curve, x, theta)
+
+
+def line(t, theta):
+    return theta[0] * t + theta[1]
+
+
+def line_jacobian(t, theta):
+    return np.column_stack([t, np.ones_like(t)])
+
+
 # ------------------------------------------------------------------ core
 
 
 def test_line_fit_exact_within_three_iterations():
     x = np.linspace(0.0, 5.0, 11)
     data = weighted_points(x, 2.0 * x + 1.0)
-    res = fit_curve(lambda t, th: th[0] * t + th[1], data, [0.5, 0.0],
+    res = fit_curve(line, data, [0.5, 0.0], jacobian=line_jacobian,
                     param_names=("slope", "intercept"))
     assert res.converged
     assert res.iterations <= 3
@@ -75,10 +116,10 @@ def test_visibility_round_trip_from_coarse_guess():
     n = 6
     t = np.linspace(0.05, 0.9, 15)
     data = weighted_points(t, visibility_model(t, 0.602, 55.7, n))
+    curve = lambda tt, th: visibility_model(tt, th[0], th[1], n)
     res = fit_curve(
-        lambda tt, th: visibility_model(tt, th[0], th[1], n),
-        data, [0.5, 30.0], bounds=[(0.0, 1.5), (0.0, None)],
-        param_names=("c0", "sigma_sig"))
+        curve, data, [0.5, 30.0], bounds=[(0.0, 1.5), (0.0, None)],
+        jacobian=central_differences(curve), param_names=("c0", "sigma_sig"))
     assert res.converged
     assert res.params["c0"] == pytest.approx(0.602, rel=1e-6)
     assert res.params["sigma_sig"] == pytest.approx(55.7, rel=1e-6)
@@ -107,8 +148,9 @@ def test_cost_history_monotone_and_errors_nonnegative():
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 0.3, 30)
     y = visibility_model(x, 0.7, 40.0, 2) + rng.normal(0.0, 0.02, x.size)
-    res = fit_curve(lambda t, th: visibility_model(t, th[0], th[1], 2),
-                    weighted_points(x, y), [0.4, 20.0])
+    curve = lambda t, th: visibility_model(t, th[0], th[1], 2)
+    res = fit_curve(curve, weighted_points(x, y), [0.4, 20.0],
+                    jacobian=central_differences(curve))
     drops = np.diff(res.cost_history)
     assert np.all(drops <= 0.0)
     assert all(e >= 0.0 for e in res.errors.values())
@@ -117,10 +159,10 @@ def test_cost_history_monotone_and_errors_nonnegative():
 def test_insufficient_points_and_bad_initial_rejected():
     data = weighted_points([0.0], [1.0])
     with pytest.raises(FitError):
-        fit_curve(lambda t, th: th[0] * t + th[1], data, [1.0, 0.0])
+        fit_curve(line, data, [1.0, 0.0], jacobian=line_jacobian)
     data = weighted_points([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(FitError):
-        fit_curve(lambda t, th: th[0] * t + th[1], data, [math.nan, 0.0])
+        fit_curve(line, data, [math.nan, 0.0], jacobian=line_jacobian)
     with pytest.raises(FitError):
         weighted_points([0.0], [1.0], weights=[0.0])
 
@@ -134,8 +176,18 @@ def test_an_error_whose_weight_overflows_is_rejected():
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_model_output_names_parameters():
     data = weighted_points([0.0, 2.0, 4.0], [0.0, 1.0, 2.0])
+    curve = lambda t, th: np.sqrt(th[0] - t)
     with pytest.raises(FitError, match="parameters"):
-        fit_curve(lambda t, th: np.sqrt(th[0] - t), data, [1.0])
+        fit_curve(curve, data, [1.0], jacobian=central_differences(curve))
+
+
+def test_non_finite_or_misshapen_jacobian_rejected():
+    data = weighted_points([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(FitError, match="Jacobian returned non-finite"):
+        fit_curve(line, data, [1.0, 0.0],
+                  jacobian=lambda t, th: np.column_stack([t, np.full(t.size, np.inf)]))
+    with pytest.raises(FitError, match=r"shape \(3,\), expected \(3, 1\)"):
+        fit_curve(lambda t, th: th[0] * t, data, [1.0], jacobian=lambda t, th: t)
 
 
 def test_iteration_cap_returns_best_so_far():
@@ -145,11 +197,19 @@ def test_iteration_cap_returns_best_so_far():
     data = weighted_points(t, y)
     curve = lambda tt, th: th[2] + th[1] * np.cos(th[0] * tt)
     start = [OMEGA_RABI * 1.3, 0.1, 0.4]
-    res = fit_curve(curve, data, start, max_iterations=2)
+    res = fit_curve(curve, data, start, jacobian=central_differences(curve), max_iterations=2)
     assert not res.converged
     assert res.iterations == 2
     start_cost = float(np.sum((y - curve(t, np.array(start))) ** 2))
     assert res.rss <= start_cost
+
+
+def huge_line(t, theta):
+    return 1e160 * (theta[0] + theta[1]) * t
+
+
+def huge_line_jacobian(t, theta):
+    return np.column_stack([1e160 * t, 1e160 * t])
 
 
 def test_overflowing_normal_matrix_stops_at_start():
@@ -160,8 +220,8 @@ def test_overflowing_normal_matrix_stops_at_start():
 
     def run():
         with np.errstate(all="ignore"):
-            result["fit"] = fit_curve(lambda tt, th: 1e160 * (th[0] + th[1]) * tt,
-                                      data, [1e-170, 1e-170])
+            result["fit"] = fit_curve(huge_line, data, [1e-170, 1e-170],
+                                      jacobian=huge_line_jacobian)
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
@@ -174,8 +234,8 @@ def test_overflowing_normal_matrix_stops_at_start():
 
 def test_stop_reason_gradient_when_started_at_the_optimum():
     x = np.linspace(0.0, 5.0, 11)
-    res = fit_curve(lambda t, th: th[0] * t + th[1], weighted_points(x, 2.0 * x + 1.0),
-                    [2.0, 1.0])
+    res = fit_curve(line, weighted_points(x, 2.0 * x + 1.0), [2.0, 1.0],
+                    jacobian=line_jacobian)
     assert (res.converged, res.stop_reason, res.iterations) == (True, "gradient", 1)
     assert json.loads(res.to_json())["stop_reason"] == "gradient"
 
@@ -186,8 +246,9 @@ def test_stop_reason_cost_on_noisy_data():
     rng = np.random.default_rng(5)
     x = np.linspace(0.0, 0.3, 30)
     y = visibility_model(x, 0.7, 40.0, 2) + rng.normal(0.0, 0.02, x.size)
-    res = fit_curve(lambda t, th: visibility_model(t, th[0], th[1], 2),
-                    weighted_points(x, y, yerr=np.full(x.size, 0.02)), [0.4, 20.0])
+    curve = lambda t, th: visibility_model(t, th[0], th[1], 2)
+    res = fit_curve(curve, weighted_points(x, y, yerr=np.full(x.size, 0.02)), [0.4, 20.0],
+                    jacobian=central_differences(curve))
     assert (res.converged, res.stop_reason) == (True, "cost")
     assert res.gradient_norm > 1e-10
 
@@ -195,8 +256,9 @@ def test_stop_reason_cost_on_noisy_data():
 def test_stop_reason_max_iterations_at_the_cap():
     t = np.arange(1, 53) * 1e-6
     y = 0.5 - 0.45 * np.cos(OMEGA_RABI * t)
-    res = fit_curve(lambda tt, th: th[2] + th[1] * np.cos(th[0] * tt), weighted_points(t, y),
-                    [OMEGA_RABI * 1.3, 0.1, 0.4], max_iterations=2)
+    curve = lambda tt, th: th[2] + th[1] * np.cos(th[0] * tt)
+    res = fit_curve(curve, weighted_points(t, y), [OMEGA_RABI * 1.3, 0.1, 0.4],
+                    jacobian=central_differences(curve), max_iterations=2)
     assert (res.converged, res.stop_reason, res.iterations) == (False, "max_iterations", 2)
 
 
@@ -205,8 +267,8 @@ def test_stop_reason_no_step_when_every_step_is_rejected():
     # damping loop runs out at 1e8
     t = np.linspace(0.05, 1.0, 20)
     with np.errstate(all="ignore"):
-        res = fit_curve(lambda tt, th: 1e160 * (th[0] + th[1]) * tt,
-                        weighted_points(t, 0.5 * t), [1e-170, 1e-170])
+        res = fit_curve(huge_line, weighted_points(t, 0.5 * t), [1e-170, 1e-170],
+                        jacobian=huge_line_jacobian)
     assert (res.converged, res.stop_reason) == (False, "no_step")
 
 
@@ -215,13 +277,12 @@ def test_jacobian_matches_closed_form_derivatives():
     n = 3
     rng = np.random.default_rng(12)
     t = np.linspace(0.02, 0.5, 17)
-    curve = lambda tt, th: visibility_model(tt, th[0], th[1], n)
     for _ in range(20):
         theta = np.array([rng.uniform(0.3, 1.0), rng.uniform(10.0, 80.0)])
-        num = numeric_jacobian(curve, t, theta)
+        jac = _visibility_jacobian(t, *theta, n)
         shape = np.exp(-0.5 * (t / (2 * n)) ** 2 * theta[1] ** 2)
         exact = np.column_stack([shape, -theta[0] * (t / (2 * n)) ** 2 * theta[1] * shape])
-        assert np.allclose(num, exact, rtol=1e-5, atol=1e-10)
+        assert np.allclose(jac, exact, rtol=1e-5, atol=1e-10)
 
 
 def test_dominant_frequency_resolves_carrier():
@@ -573,3 +634,221 @@ def test_fitter_registry_names_and_dispatch():
     res = FITTERS["visibility"](weighted_points(t, visibility_model(t, 0.7, 40.0, 2)), n=2)
     assert res.model == "visibility"
     assert res.params["sigma_sig"] == pytest.approx(40.0, rel=1e-6)
+
+
+# ------------------------------------------------------------------ Jacobians
+
+# Each closed-form Jacobian is checked against numeric_jacobian in scaled
+# coordinates: parameter j is theta_j + s_j*(u_j - 1) at u = 1, so the
+# oracle's step of 1e-6 in u moves it by DELTA = 1e-6 of its own size
+# s_j = |theta_j| (the phase, an angle, by 1e-6 rad: s = 1).  Unscaled, the
+# oracle's 1e-8 step floor would step a 1e-9 s T2* below zero.
+#
+# A point's deviation is |J - J_num| over the largest |J| of its row: a row
+# is the gradient of one residual, and the oracle's errors and the row both
+# scale with the model's local amplitude.  The bound, derived before the
+# test was first run:
+#  - truncation, DELTA**2/6 times a third derivative.  The largest is that
+#    of the delta_prime column, PHI**3 times the local amplitude, where
+#    PHI = 2*pi * 10 kHz * 3.05 ms = 192 rad is the largest phase any
+#    parameter sweeps over the grids below (the Rabi fit sweeps 38 rad; the
+#    decays' third derivatives stay below 1e4 times their row scale, 2e-9
+#    after the DELTA**2/6).  Every row holds an entry of at least its
+#    amplitude / sqrt(2) (the visibility and phase columns, |cos| and
+#    |sin|), so truncation <= sqrt(2) * DELTA**2/6 * PHI**3.
+#  - rounding: each evaluation is within ROUNDING_ULPS ulp (three roundings
+#    forming the cosine's argument, one in the cosine) of that argument,
+#    at most PHI + 3*pi rad (the phase and kappa), times the amplitude; two
+#    evaluations over 2*DELTA against the same row scale give
+#    sqrt(2) * ROUNDING_ULPS * eps * (PHI + 3*pi) / DELTA.
+# Together 1.66e-6 + 2.5e-7.  The readout's constant in a fitter's curve
+# adds eps/(4*DELTA) over a row scale of at least 0.01 on the records of
+# the fitter test below: 6e-9, within the margin.
+DELTA = 1e-6
+PHI = 2 * math.pi * 10e3 * 3.05e-3
+ROUNDING_ULPS = 4
+JACOBIAN_BOUND = (math.sqrt(2) * DELTA**2 / 6 * PHI**3
+                  + math.sqrt(2) * ROUNDING_ULPS * np.finfo(float).eps * (PHI + 3 * math.pi) / DELTA)
+
+
+def assert_jacobian_within_bound(curve, jacobian, x, theta, angles=()):
+    """jacobian(x, theta) against the oracle in scaled coordinates, row by row."""
+    theta = np.asarray(theta, dtype=float)
+    scale = np.abs(theta)
+    scale[list(angles)] = 1.0
+    oracle = numeric_jacobian(lambda xx, u: curve(xx, theta + scale * (u - 1.0)),
+                              x, np.ones(theta.size))
+    jac = jacobian(x, theta) * scale
+    deviation = np.abs(jac - oracle) / np.max(np.abs(jac), axis=1, keepdims=True)
+    assert np.max(deviation) <= JACOBIAN_BOUND
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(0, 6), visibility=st.floats(0.05, 1.5),
+       delta_prime=st.floats(2 * math.pi * 100.0, 2 * math.pi * 10e3),
+       phase=st.floats(-math.pi, math.pi),
+       t2_star=st.one_of(st.just(math.inf),                        # held off: 3 columns
+                         st.floats(-9.0, -2.0).map(lambda e: 10.0**e)),  # co-fit to its bound
+       start=st.floats(-1.5e-3, 5e-5), span=st.floats(5e-4, 3e-3))
+def test_fringe_jacobian_matches_central_differences(n, visibility, delta_prime, phase,
+                                                     t2_star, start, span):
+    x = np.linspace(start, start + span, 41)
+    co_fit = t2_star < math.inf
+    theta = [visibility, delta_prime, phase] + [t2_star] * co_fit
+    envelope_time = (lambda th: th[3]) if co_fit else (lambda th: t2_star)
+    assert_jacobian_within_bound(
+        lambda xx, th: _fringe(xx, *th[:3], envelope_time(th), n),
+        lambda xx, th: _fringe_jacobian(xx, *th[:3], envelope_time(th), n, co_fit),
+        x, theta, angles=[2])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 6), c0=st.floats(0.05, 1.2), sigma_sig=st.floats(1.0, 200.0),
+       start=st.floats(0.0, 0.5), stop=st.floats(0.6, 3.0))
+def test_visibility_jacobian_matches_central_differences(n, c0, sigma_sig, start, stop):
+    t = t2_prime(n, sigma_sig) * np.linspace(start, stop, 12)
+    assert_jacobian_within_bound(lambda tt, th: _visibility(tt, *th, n),
+                                 lambda tt, th: _visibility_jacobian(tt, *th, n),
+                                 t, [c0, sigma_sig])
+
+
+SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.95)).map(lambda p: p[0] * p[1])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(omega_r=st.floats(2 * math.pi * 1e3, 2 * math.pi * 30e3), contrast=SIGNED,
+       offset=st.floats(0.1, 0.9))
+def test_rabi_jacobian_matches_central_differences(omega_r, contrast, offset):
+    # the fit_records records: 20-30 kHz, |contrast| 0.38-0.45, offset near 0.5, 0-200 us
+    t = np.linspace(0.0, 2e-4, 201)
+    assert_jacobian_within_bound(lambda tt, th: _rabi(tt, *th),
+                                 lambda tt, th: _rabi_jacobian(tt, *th),
+                                 t, [omega_r, contrast, offset])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(t1=st.floats(0.05, 2.0), amplitude=SIGNED, equilibrium=st.floats(0.01, 0.5))
+def test_t1_jacobian_matches_central_differences(t1, amplitude, equilibrium):
+    # the fit_records records: T1 0.7-0.95 s, amplitude 0.85-0.92, equilibrium 0.03, 0-2 s
+    t = np.linspace(0.0, 2.0, 201)
+    assert_jacobian_within_bound(lambda tt, th: _t1(tt, *th),
+                                 lambda tt, th: _t1_jacobian(tt, *th),
+                                 t, [t1, amplitude, equilibrium])
+
+
+def _fringe_record(n, tau, t):
+    return (1.0 - 0.8 * fringe_inhomogeneous(t, 2 * math.pi * 1.5e3, T2_STAR, n, tau)) / 2.0
+
+
+FITTER_RECORDS = {
+    "rabi": (np.linspace(0.0, 2e-4, 201), {},
+             lambda t: rabi_fraction(t, 2 * math.pi * 25e3, 0.42, 0.5)),
+    "t1": (np.linspace(0.0, 2.0, 201), {}, lambda t: t1_fraction(t, 0.8, 0.9, 0.03)),
+    "ramsey": (np.linspace(5e-5, 3e-3, 201), {"t2_star": None},
+               lambda t: _fringe_record(0, 0.0, t)),
+    "echo_fringe": (0.01 + np.linspace(-1.5e-3, 1.5e-3, 41), {"tau": 5e-3, "t2_star": T2_STAR},
+                    lambda t: _fringe_record(1, 5e-3, t)),
+    "cpmg_fringe": (np.linspace(11.2e-3, 14e-3, 201), {"n": 6, "tau": 1e-3},
+                    lambda t: _fringe_record(6, 1e-3, t)),
+    "visibility": (t2_prime(6, 55.7) * np.linspace(0.2, 1.2, 9), {"n": 6},
+                   lambda t: visibility_model(t, 0.602, 55.7, 6)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FITTER_RECORDS))
+def test_each_fitter_hands_fit_curve_the_jacobian_of_its_curve(model, monkeypatch):
+    calls = []
+    real_fit_curve = fit_module.fit_curve
+
+    def spy(curve, data, initial, bounds=None, **kwargs):
+        result = real_fit_curve(curve, data, initial, bounds, **kwargs)
+        calls.append((curve, kwargs["jacobian"], data.x, np.asarray(initial, dtype=float),
+                      result))
+        return result
+
+    monkeypatch.setattr(fit_module, "fit_curve", spy)
+    t, kwargs, truth = FITTER_RECORDS[model]
+    rng = np.random.default_rng(61)
+    FITTERS[model](points_from_counts(t, rng.binomial(2000, truth(t)), 2000), **kwargs)
+    (curve, jacobian, x, initial, result), = calls
+    fitted = np.array(list(result.params.values())[:initial.size])
+    angles = [2] if "phase" in result.params else []
+    for theta in (initial, fitted):
+        assert_jacobian_within_bound(curve, jacobian, x, theta, angles)
+
+
+# ------------------------------------------------------------------ termination
+
+STOP_REASONS = {"gradient", "cost", "no_step", "max_iterations"}
+GUARD_S = 20.0
+
+
+def outcome_within_guard(call):
+    """call()'s result, or the exception it raised, from a daemon thread joined for GUARD_S."""
+    outcome = {}
+
+    def run():
+        try:
+            with np.errstate(all="ignore"):   # overflow is part of the data, not a failure
+                outcome["value"] = call()
+        except Exception as exc:  # handed to the test thread, which decides
+            outcome["value"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=GUARD_S)
+    assert not worker.is_alive(), f"the fit did not return within {GUARD_S} s"
+    return outcome["value"]
+
+
+@st.composite
+def random_records(draw):
+    """Finite records: any grid, flat or random values, unit or extreme weights."""
+    size = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        start = draw(st.floats(-1.0, 1.0))
+        x = start + draw(st.floats(1e-9, 1e3)) * np.linspace(0.0, 1.0, size)
+    else:
+        x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        y = np.full(size, draw(st.floats(-2.0, 2.0)))                          # flat
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        weight = np.ones(size)
+    else:
+        weight = 10.0 ** np.array(draw(st.lists(st.floats(-150.0, 150.0),
+                                                min_size=size, max_size=size)))
+    return FitData(x, y, weight)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(model=st.sampled_from(sorted(FITTERS) + ["line"]), data=random_records(),
+       n=st.integers(1, 6), tau=st.floats(0.0, 1e-2),
+       t2_star=st.sampled_from([math.inf, None, T2_STAR]),
+       curve_scale=st.sampled_from([1.0, 1e160, 1e-160]),
+       initial=st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(1e-170)), min_size=2,
+                        max_size=2))
+def test_fit_curve_terminates_on_random_finite_data(model, data, n, tau, t2_star, curve_scale,
+                                                    initial):
+    if model == "line":
+        def call():
+            return fit_curve(lambda t, th: curve_scale * line(t, th), data, initial,
+                             jacobian=lambda t, th: curve_scale * line_jacobian(t, th))
+    else:
+        params = inspect.signature(FITTERS[model]).parameters
+        kwargs = {name: value for name, value in (("n", n), ("tau", tau))
+                  if name in params and params[name].default is inspect.Parameter.empty}
+        if "t2_star" in params:
+            kwargs["t2_star"] = t2_star
+
+        def call():
+            return FITTERS[model](data, **kwargs)
+
+    outcome = outcome_within_guard(call)
+    if isinstance(outcome, FitError):
+        return
+    if isinstance(outcome, Exception):
+        raise outcome
+    assert outcome.stop_reason in STOP_REASONS
+    assert outcome.converged == (outcome.stop_reason in {"gradient", "cost"})
