@@ -32,7 +32,9 @@ from . import __version__
 from .bloch import SEQUENCE_KINDS, SequenceSpec
 from .errors import ConfigError, DataFormatError, DomainError, FitError
 from .fit import FITTERS, fit_visibility_decay, weighted_points
-from .montecarlo import ExperimentConfig, FringeDataset, scan_visibility, simulate_dataset
+from .montecarlo import (
+    ExperimentConfig, FringeDataset, _read_table, scan_visibility, simulate_dataset,
+)
 from .noise import HomogeneousNoiseSpec, LightShiftDistribution
 from .analytic import t2_prime
 
@@ -149,11 +151,11 @@ def _load_document(path) -> tuple[dict, bytes]:
     return doc, raw
 
 
-def _refuse_to_overwrite(config_path, outputs) -> None:
-    """Reject, before anything is written, an output path that is the config file."""
+def _refuse_to_overwrite(input_path, outputs) -> None:
+    """Reject, before anything is written, an output path that is the input file."""
     for out in outputs:
-        if os.path.exists(out) and os.path.samefile(out, config_path):
-            raise ConfigError(str(out), "this output path is the config file; nothing was written")
+        if os.path.exists(out) and os.path.samefile(out, input_path):
+            raise ConfigError(str(out), "this output path is the input file; nothing was written")
 
 
 def _exactly_one(section: dict, first: str, second: str, path: str) -> str:
@@ -258,49 +260,40 @@ def _write_manifest(path, config_bytes: bytes, seed: int, command: str) -> None:
         handle.write("\n")
 
 
+_VISIBILITY_HEADER = ["total_time_s", "visibility", "visibility_err"]
+
+
 def write_visibility_csv(path, points) -> None:
     """Figure-ready visibility table: total_time_s, visibility, visibility_err."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["total_time_s", "visibility", "visibility_err"])
+        writer.writerow(_VISIBILITY_HEADER)
         for p in points:
             writer.writerow([repr(float(p.total_time)), repr(float(p.visibility)),
                              repr(float(p.error))])
 
 
+def _visibility_row_error(values, cells) -> str | None:
+    """Why a parsed visibility row cannot be fitted, or None; ``cells`` (its CSV fields) name it."""
+    err = values[2]
+    if not all(math.isfinite(x) for x in values):
+        return f"non-finite value in {cells!r}"
+    if not err > 0:
+        return f"visibility_err must be positive, got {err}"
+    weight = 1.0 / (err * err) if err * err > 0 else math.inf
+    if not 0 < weight < math.inf:
+        return (f"visibility_err {err} gives the weight 1/err**2 = {weight}, "
+                "which is not positive and finite")
+
+
 def read_visibility_csv(path):
-    """Read a visibility table into FitData (weight = 1/err**2)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError("empty visibility file") from None
-            if header != ["total_time_s", "visibility", "visibility_err"]:
-                raise DataFormatError(f"unexpected header {header!r}")
-            times, values, weights = [], [], []
-            for index, row in enumerate(reader, start=1):
-                if len(row) != 3:
-                    raise DataFormatError(f"expected 3 columns, got {len(row)}", row=index)
-                try:
-                    t, v, e = (float(cell) for cell in row)
-                except ValueError as exc:
-                    raise DataFormatError(str(exc), row=index) from None
-                if not all(math.isfinite(x) for x in (t, v, e)):
-                    raise DataFormatError(f"non-finite value in {row!r}", row=index)
-                if not e > 0:
-                    raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
-                weight = 1.0 / (e * e) if e * e > 0 else math.inf
-                if not 0 < weight < math.inf:
-                    raise DataFormatError(f"visibility_err {e} gives the weight 1/err**2 = "
-                                          f"{weight}, which is not positive and finite", row=index)
-                times.append(t)
-                values.append(v)
-                weights.append(weight)
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
-        raise DataFormatError(f"{path}: {exc}") from None
-    return weighted_points(times, values, weights=weights)
+    """Read a visibility table into FitData (weight = 1/err**2).
+
+    numpy's C reader parses it; the row loop names a malformed row (``montecarlo._read_table``).
+    """
+    times, values, errs = _read_table(path, _VISIBILITY_HEADER, (float, float, float),
+                                      "visibility", _visibility_row_error)
+    return weighted_points(times, values, yerr=errs)
 
 
 def _print_fit_result(result) -> None:
@@ -359,6 +352,8 @@ def cmd_fit(args) -> int:
             kwargs["t2_star"] = None
         elif args.t2_star_s is not None:
             kwargs["t2_star"] = args.t2_star_s
+    if args.output:
+        _refuse_to_overwrite(args.data, [args.output])
     if args.model == "visibility":
         points = read_visibility_csv(args.data)
     else:

@@ -35,10 +35,13 @@ scan keys one such stream per pulse spacing, from ``(rng_seed, row index)``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,6 +164,59 @@ def _column(values, name: str, integral: bool) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+_DATASET_HEADER = ["time_s", "fraction", "trials", "successes"]
+
+
+def _read_table(path, header: list[str], kinds: tuple, name: str, row_error=None):
+    """The columns of the CSV table at ``path``, one array per ``header`` entry, of ``kinds``.
+
+    numpy's C reader parses the body in one pass, unless it might read it otherwise
+    than the row loop: a non-ASCII character (its integer parser misreads some), a
+    carriage return (the row count counts newlines), U+001C..U+001F (whitespace to it,
+    not to ``float`` and ``int``), a line over csv's field limit, a blank line, a value
+    it refuses or warns about, or a row ``row_error(values, cells)`` rejects.  The row
+    loop then reads the file with ``csv``, ``float`` and ``int`` and names the first bad row.
+    """
+    with open(path, "rb") as handle:  # an undecodable byte becomes non-ASCII U+FFFD
+        text = handle.read().decode("utf-8", "replace")
+    head = ",".join(header) + "\n"
+    body, table, limit = text[len(head):], None, csv.field_size_limit()
+    if (text.startswith(head) and body.isascii()
+            and not any(c in body for c in "\r\x1c\x1d\x1e\x1f")
+            and (len(body) <= limit or max(map(len, body.split("\n"))) <= limit)):
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            table = np.loadtxt(io.StringIO(body), dtype=list(zip(header, kinds)), delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+    if (table is not None and len(table) == body.count("\n") + (not body.endswith("\n"))
+            and (row_error is None or not any(row_error(row, None) for row in table.tolist()))):
+        return [table[column] for column in header]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            first = next(reader, None)
+            if first is None:
+                raise DataFormatError(f"empty {name} file")
+            if first != header:
+                raise DataFormatError(f"unexpected header {first!r}")
+            columns = [[] for _ in header]
+            for index, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataFormatError(f"expected {len(header)} columns, got {len(row)}",
+                                          row=index)
+                try:
+                    values = [kind(cell) for kind, cell in zip(kinds, row)]
+                except ValueError as exc:
+                    raise DataFormatError(str(exc), row=index) from None
+                if row_error is not None and (message := row_error(values, row)):
+                    raise DataFormatError(message, row=index)
+                for column, value in zip(columns, values):
+                    column.append(value)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
+        raise DataFormatError(f"{path}: {exc}") from None
+    return [np.array(column) for column in columns]
+
+
 @dataclass(frozen=True)
 class FringeDataset:
     """Rows of (time, successes, trials) emulating a measured fringe."""
@@ -202,7 +258,7 @@ class FringeDataset:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["time_s", "fraction", "trials", "successes"])
+            writer.writerow(_DATASET_HEADER)
             for t, frac, trials, successes in zip(
                 self.times, self.fractions, self.trials, self.successes
             ):
@@ -210,32 +266,11 @@ class FringeDataset:
 
     @staticmethod
     def read_csv(path) -> "FringeDataset":
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                reader = csv.reader(handle)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise DataFormatError("empty dataset file") from None
-                if header != ["time_s", "fraction", "trials", "successes"]:
-                    raise DataFormatError(f"unexpected header {header!r}")
-                times, fractions, successes, trials = [], [], [], []
-                for index, row in enumerate(reader, start=1):
-                    if len(row) != 4:
-                        raise DataFormatError(f"expected 4 columns, got {len(row)}", row=index)
-                    try:
-                        t, frac = float(row[0]), float(row[1])
-                        n_trials, n_succ = int(row[2]), int(row[3])
-                    except ValueError as exc:
-                        raise DataFormatError(str(exc), row=index) from None
-                    times.append(t)
-                    fractions.append(frac)
-                    successes.append(n_succ)
-                    trials.append(n_trials)
-        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
-            raise DataFormatError(f"{path}: {exc}") from None
-        dataset = FringeDataset(np.array(times), np.array(successes), np.array(trials))
-        mismatch = ~(np.abs(np.array(fractions) - dataset.fractions) <= 1e-9)
+        """Read a dataset CSV: numpy's C reader parses it; the row loop names a malformed row."""
+        times, fractions, trials, successes = _read_table(
+            path, _DATASET_HEADER, (float, float, int, int), "dataset")
+        dataset = FringeDataset(times, successes, trials)
+        mismatch = ~(np.abs(fractions - dataset.fractions) <= 1e-9)
         if np.any(mismatch):
             i = int(np.argmax(mismatch))
             raise DataFormatError(f"fraction {fractions[i]} does not equal successes/trials",

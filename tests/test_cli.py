@@ -1,13 +1,15 @@
 import copy
+import csv
 import dataclasses
 import filecmp
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim.cli import (
@@ -15,7 +17,7 @@ from dephasim.cli import (
     write_visibility_csv,
 )
 from dephasim.errors import ConfigError, DataFormatError, DomainError
-from dephasim.fit import FitResult
+from dephasim.fit import FitResult, weighted_points
 from dephasim.montecarlo import FringeDataset, VisibilityPoint
 
 
@@ -430,6 +432,19 @@ def test_an_output_onto_the_config_exits_2_and_the_manifest_hashes_the_config(
     assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
 
 
+@pytest.mark.parametrize("model", ["ramsey", "visibility"])
+def test_fit_output_onto_its_data_exits_2_and_leaves_the_data(
+        ramsey_run, table_sweep, tmp_path, capsys, model):
+    source = ramsey_run / "run.csv" if model == "ramsey" else table_sweep / "visibility_n1.csv"
+    data = tmp_path / "data.csv"
+    data.write_bytes(source.read_bytes())
+    argv = ["fit", "--data", str(data), "--model", model, "--n", "1", "--output", str(data)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {data}: this output path is the input file" in err
+    assert data.read_bytes() == source.read_bytes()
+
+
 DATASET_HEADER = b"time_s,fraction,trials,successes\n"
 VISIBILITY_HEADER = b"total_time_s,visibility,visibility_err\n"
 SIMULATE = ["simulate", "--config", "{path}", "--output", "{tmp}/x"]
@@ -758,3 +773,184 @@ def test_visibility_csv_round_trip_is_bit_exact(input_file, rows):
     assert data.x.tobytes() == times.tobytes()
     assert data.y.tobytes() == values.tobytes()
     assert data.weight.tobytes() == (1 / errs**2).tobytes()
+
+
+# ------------------------------------------------ row-loop reader oracles
+# Reference readers of both tables: one csv row at a time, through float() and
+# int().  The package's readers, which parse with numpy's C reader where it
+# agrees, must return the same arrays bit for bit or raise the same
+# DataFormatError.
+
+
+def oracle_read_dataset_csv(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError("empty dataset file") from None
+            if header != ["time_s", "fraction", "trials", "successes"]:
+                raise DataFormatError(f"unexpected header {header!r}")
+            times, fractions, successes, trials = [], [], [], []
+            for index, row in enumerate(reader, start=1):
+                if len(row) != 4:
+                    raise DataFormatError(f"expected 4 columns, got {len(row)}", row=index)
+                try:
+                    t, frac = float(row[0]), float(row[1])
+                    n_trials, n_succ = int(row[2]), int(row[3])
+                except ValueError as exc:
+                    raise DataFormatError(str(exc), row=index) from None
+                times.append(t)
+                fractions.append(frac)
+                successes.append(n_succ)
+                trials.append(n_trials)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    dataset = FringeDataset(np.array(times), np.array(successes), np.array(trials))
+    mismatch = ~(np.abs(np.array(fractions) - dataset.fractions) <= 1e-9)
+    if np.any(mismatch):
+        i = int(np.argmax(mismatch))
+        raise DataFormatError(f"fraction {fractions[i]} does not equal successes/trials",
+                              row=i + 1)
+    return dataset
+
+
+def oracle_read_visibility_csv(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError("empty visibility file") from None
+            if header != ["total_time_s", "visibility", "visibility_err"]:
+                raise DataFormatError(f"unexpected header {header!r}")
+            times, values, weights = [], [], []
+            for index, row in enumerate(reader, start=1):
+                if len(row) != 3:
+                    raise DataFormatError(f"expected 3 columns, got {len(row)}", row=index)
+                try:
+                    t, v, e = (float(cell) for cell in row)
+                except ValueError as exc:
+                    raise DataFormatError(str(exc), row=index) from None
+                if not all(math.isfinite(x) for x in (t, v, e)):
+                    raise DataFormatError(f"non-finite value in {row!r}", row=index)
+                if not e > 0:
+                    raise DataFormatError(f"visibility_err must be positive, got {e}", row=index)
+                weight = 1.0 / (e * e) if e * e > 0 else math.inf
+                if not 0 < weight < math.inf:
+                    raise DataFormatError(f"visibility_err {e} gives the weight 1/err**2 = "
+                                          f"{weight}, which is not positive and finite", row=index)
+                times.append(t)
+                values.append(v)
+                weights.append(weight)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return weighted_points(times, values, weights=weights)
+
+
+def read_outcome(read, path):
+    """What a reader made of a file: its arrays as (dtype, shape, bytes), or its error."""
+    try:
+        result = read(path)
+    except DataFormatError as exc:
+        return "error", str(exc), exc.row
+    if isinstance(result, FringeDataset):
+        arrays = (result.times, result.successes, result.trials)
+    else:
+        arrays = (result.x, result.y, result.weight)
+    return "read", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+TABLE_FORMATS = {
+    "dataset": (DATASET_HEADER, FringeDataset.read_csv, oracle_read_dataset_csv),
+    "visibility": (VISIBILITY_HEADER, read_visibility_csv, oracle_read_visibility_csv),
+}
+#: Cells the row loop and numpy's C reader might read differently.
+ODD_CELLS = ["", " ", "\t", "1_000", "١٢", "５", "5①", "5\U000e0030", "\x1f5",
+             "　 5", "5\xa0", "\x0b5", "5\x1c", " 5", '"5"', '"5', "'5'", "+5", "-0", "05",
+             "- 5", "5 5", "0x10", "nan", "-nan", "NaN", "inf", "-Infinity", "1e500", "1e-400",
+             "5.0", "5.", ".5", "1d5", "5j", "\x00", "5\x00", "9223372036854775807",
+             "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+             "0" * 131_073 + "5", " " * 131_073 + "5"]
+#: Unusual line ends: csv ends a row at \n, \r\n and a lone \r.
+LINE_ENDS = ["\r\n", "\r", "\n\n", "\n \n", "\n\t\n", "\r\r\n", "\n\r", "\n\x00\n"]
+
+
+@st.composite
+def valid_cells(draw, kind):
+    if kind == "dataset":
+        trials = draw(st.integers(1, 10**6))
+        successes = draw(st.integers(0, trials))
+        return [repr(draw(FINITE)), repr(successes / trials), str(trials), str(successes)]
+    return [repr(draw(FINITE)), repr(draw(FINITE)), repr(draw(st.floats(1e-160, 1e160)))]
+
+
+@st.composite
+def targeted_tables(draw, kind):
+    """Valid rows with up to two odd spots: a cell odd, padded, missing or split, or a line end."""
+    rows = [draw(valid_cells(kind)) for _ in range(draw(st.integers(0, 8)))]
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        r = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(rows[r]) - 1))
+            cell = rows[r][i]
+            rows[r][i] = draw(st.sampled_from(ODD_CELLS + [f" {cell}\t", f"{cell},1", ""]))
+        else:
+            ends[r] = draw(st.sampled_from(LINE_ENDS))
+    text = "".join(",".join(cells) + end for cells, end in zip(rows, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+@st.composite
+def table_files(draw):
+    kind = draw(st.sampled_from(sorted(TABLE_FORMATS)))
+    body = draw(st.one_of(st.binary(max_size=200), targeted_tables(kind)))
+    return kind, TABLE_FORMATS[kind][0] + body
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(table_files())
+@example(("dataset", DATASET_HEADER))
+@example(("visibility", VISIBILITY_HEADER))
+@example(("dataset", DATASET_HEADER + b"0.001,0.5,100,50\n\n"))
+@example(("dataset", DATASET_HEADER + b"0.001,0.5," + b" " * 131_073 + b"100,50\n"))
+@example(("visibility", VISIBILITY_HEADER + b"0.1,0.5,0.01\n \n0.2,0.4,0.01\n"))
+@example(("dataset", DATASET_HEADER + "0.001,0.5,100,5\u2460\n".encode()))
+@example(("visibility", VISIBILITY_HEADER + b"0.1\x1c,0.5,0.01\n"))
+def test_table_readers_match_the_row_loop_oracles(input_file, case):
+    kind, content = case
+    _, read, oracle = TABLE_FORMATS[kind]
+    input_file.write_bytes(content)
+    assert read_outcome(read, input_file) == read_outcome(oracle, input_file)
+
+
+VALID_ROWS = {"dataset": b"0.001,0.5,100,50", "visibility": b"0.1,0.5,0.01"}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_FORMATS))
+@pytest.mark.parametrize("body, error", [
+    (b"", None),
+    (b"\n", "row 1: expected {n} columns, got 0"),
+    (b"{row}\n\n{row}\n", "row 2: expected {n} columns, got 0"),
+    (b"{row}\r\n\r\n", "row 2: expected {n} columns, got 0"),
+], ids=["header-only", "blank-body", "blank-line", "crlf-blank-line"])
+def test_rows_numpy_skips_reach_the_row_loop_without_a_warning(tmp_path, kind, body, error):
+    # numpy's C reader skips blank lines and warns on a body without rows; the row
+    # loop names a blank line and reads a header-only table as empty, silently.
+    header, read, _ = TABLE_FORMATS[kind]
+    path = tmp_path / "table.csv"
+    path.write_bytes(header + body.replace(b"{row}", VALID_ROWS[kind]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if error is None:
+            assert read_outcome(read, path)[0] == "read"
+        else:
+            with pytest.raises(DataFormatError) as exc:
+                read(path)
+            assert str(exc.value) == error.format(n=VALID_ROWS[kind].count(b",") + 1)
+    assert [str(w.message) for w in caught] == []

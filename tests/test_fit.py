@@ -342,6 +342,12 @@ def test_dominant_frequency_matches_projection_with_gaps_and_repeats():
     assert_matches_oracle(x, noisy_carrier(x, 6.1e3, seed=3))
 
 
+def test_chirp_z_fft_length_is_the_smallest_fast_length_that_fits():
+    fast = sorted(m << k for m in (1, 3, 5, 9, 15) for k in range(20))
+    for n in [*range(1, 3000), 8991, 2**16 - 1, 2**16 + 1, 123_457]:
+        assert fit_module._fft_length(n) == next(length for length in fast if length >= n)
+
+
 @pytest.mark.parametrize("jitter", [1e-6, 0.5])
 def test_dominant_frequency_irregular_grid_takes_projection(jitter):
     rng = np.random.default_rng(4)
