@@ -1,36 +1,40 @@
 """Ensemble simulation of the pulsed-interferometry experiment.
 
-Each experimental cycle draws one quasi-static noise realization: a
+Each experimental cycle sees one quasi-static noise realization: a
 light-shift detuning sample (inhomogeneous broadening across the atom
 ensemble) and the detuning jumps across the half turns (homogeneous noise
 within a sequence).  The readout is w = (-1)**n * cos(Phi) with the phase of
 ``bloch.accumulated_phase`` at the effective detuning
 
-    delta_eff = delta_set - zeeman_shift - delta_lightshift.
+    delta_eff = delta_set - zeeman_shift - delta_lightshift,
 
-The jumps enter Phi only through sum_i c_i * jump_i, a single Gaussian, so
-each cycle draws that sum directly (``noise.sample_jump_phase``) instead of
-one jump per pulse.  The mean of w over the draws, times the fringe
-contrast, goes through the readout map (``analytic.fraction_from_w`` without
-its range check, which a mean of cosines cannot fail), and finite measurement
-statistics are emulated by drawing successes from a binomial with
-``cycles_per_point`` trials.  A visibility scan of an ``invert_fraction``
-config fits the complementary counts, the same fringe in the default readout.
+plus S = sum_i c_i * jump_i from the jumps.  S is one zero-mean Gaussian of
+variance s**2 = sum_i c_i**2 * sigma_i**2, independent of the light shift, so
+E[cos(phi + S) | phi] = cos(phi) * exp(-s**2/2) exactly (the filter-function
+factor of a pulse train).  The light shift is drawn; the jump channel is not:
+the mean of cos(phi) over the light-shift draws is multiplied by that factor.
+This conditional expectation has the same mean as drawing S per cycle and no
+larger variance.  The mean w, times the fringe contrast, goes through the
+readout map (``analytic.fraction_from_w`` without its range check, which a
+mean of cosines cannot fail), and finite measurement statistics are emulated
+by drawing successes from a binomial with ``cycles_per_point`` trials.  A
+visibility scan of an ``invert_fraction`` config fits the complementary
+counts, the same fringe in the default readout.
 
-Kernel precision: over noise draws, each phase is reduced to [-pi, pi] in
-float64 and its cosine taken in float32 (numpy's SIMD cosine), then the
+Kernel precision: over light-shift draws, each phase is reduced to [-pi, pi]
+in float64 and its cosine taken in float32 (numpy's SIMD cosine), then the
 cosines are averaged in float64.  Per draw, and so in the mean, this is within
 3e-7 of the float64 cosine for |Phi| <= 2**30 (the Monte Carlo standard error
 of the mean at a dephased point is about 5e-3 at 20 000 draws); a batch with a
-larger or non-finite phase takes the float64 cosine.  A noise-free config (no
-inhomogeneous noise, and no homogeneous noise at n >= 1) is one deterministic
-phase and stays exact float64.
+larger or non-finite phase takes the float64 cosine.  A config without
+inhomogeneous noise is one deterministic phase and stays exact float64.
 
 Reproducibility contract: a dataset is one random stream,
-``np.random.default_rng(rng_seed)``.  The noise of each grid point is drawn
-from it in grid order, then all success counts in one binomial call, so the
-same config and seed give bit-identical datasets on every run.  A visibility
-scan keys one such stream per pulse spacing, from ``(rng_seed, row index)``.
+``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid
+point come from it in grid order, then all success counts in one binomial
+call, so the same config and seed give bit-identical datasets on every run.
+A visibility scan keys one such stream per pulse spacing, from
+``(rng_seed, row index)``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytic import _readout
-from .bloch import SequenceSpec, accumulated_phase
+from .bloch import SequenceSpec, accumulated_phase, jump_weights
 from .errors import DataFormatError, DomainError, FitError
 from .fit import fit_fringe, points_from_counts
 from .noise import (
@@ -55,7 +59,6 @@ from .noise import (
     HomogeneousNoiseSpec,
     LightShiftDistribution,
     lightshift_sample,
-    sample_jump_phase,
 )
 
 __all__ = [
@@ -84,8 +87,9 @@ class ExperimentConfig:
     cycles_per_point : int
         Binomial trials per time-grid point (measurement statistics).
     noise_draws : int
-        Noise realizations averaged per probability estimate; controls
-        oracle accuracy, independent of cycles_per_point.
+        Light-shift draws averaged per probability estimate (the jump
+        channel is averaged exactly); controls oracle accuracy,
+        independent of cycles_per_point.
     time_grid : tuple of float
         Readout times in seconds, strictly increasing.
     rng_seed : int
@@ -331,26 +335,29 @@ def _mean_cos(phase: np.ndarray):
 def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | None = None) -> float:
     """Ensemble-averaged success probability at readout time t.
 
-    Vectorizes ``draws`` independent noise realizations (default
-    ``config.noise_draws``); with no noise configured a single deterministic
-    evaluation is taken.  The mean over draws uses a float32 cosine of the
-    float64-reduced phase (``_mean_cos``: within 3e-7 per draw for
-    |Phi| <= 2**30); a phase that no noise draw enters keeps the exact float64
-    cosine.
+    Averages cos(Phi) over ``draws`` light-shift realizations (default
+    ``config.noise_draws``) through the float32 cosine of the float64-reduced
+    phase (``_mean_cos``: within 3e-7 per draw for |Phi| <= 2**30); with no
+    inhomogeneous noise the one deterministic phase keeps the exact float64
+    cosine.  Homogeneous noise at n >= 1 multiplies that mean by the exact
+    Gaussian average exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights``,
+    and draws nothing; a variance that overflows gives the factor 0.
     """
     seq = config.sequence
-    draws = config.noise_draws if draws is None else draws
-    jumps = config.homogeneous is not None and seq.n >= 1
     delta_eff = seq.delta - config.zeeman_shift
-    if config.inhomogeneous is not None:
-        delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
-    phase = accumulated_phase(delta_eff, seq.tau, seq.n, t)
-    if jumps:
-        phase = phase + sample_jump_phase(config.homogeneous, seq.tau, t, rng, size=draws)
-    if config.inhomogeneous is None and not jumps:  # one deterministic phase
-        mean_cos = np.mean(np.cos(phase))
+    if config.inhomogeneous is None:  # one deterministic phase
+        mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     else:
-        mean_cos = _mean_cos(phase)
+        draws = config.noise_draws if draws is None else draws
+        # Rebinding frees the sampler's (3, draws) buffer before the phase is
+        # allocated, so its pages are reused: holding it through the cosine
+        # cost ~200 page faults and ~1.8x the time per 20 000-draw point.
+        delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
+        mean_cos = _mean_cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
+    if config.homogeneous is not None and seq.n >= 1:
+        with np.errstate(over="ignore"):  # s**2 = inf: fully dephased, factor exp(-inf) = 0
+            s2 = np.sum((jump_weights(seq.tau, seq.n, t) * config.homogeneous.sigmas) ** 2)
+        mean_cos = mean_cos * math.exp(-0.5 * s2)
     w = (-1.0) ** seq.n * mean_cos  # |w| <= 1: no range check needed
     return _readout(config.contrast * w, config.invert_fraction)
 

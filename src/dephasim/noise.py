@@ -13,10 +13,10 @@ Two noise channels drive the loss of fringe contrast:
   sigma_sig must be finite.
 
 The light shift is drawn by inversion, three uniforms and one logarithm per
-draw (``lightshift_sample``); the jumps enter a pulse sequence only through
-one weighted sum, drawn as one Gaussian per shot (``sample_jump_phase``).
-Both channels are sampled with explicitly passed numpy Generators; nothing
-here touches global RNG state.
+draw (``lightshift_sample``), from an explicitly passed numpy Generator;
+nothing here touches global RNG state.  The jumps enter a pulse sequence only
+through one weighted sum, a single Gaussian, which the ensemble average takes
+in closed form (``montecarlo.ensemble_probability``) instead of drawing it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import jump_weights
 from .errors import DomainError
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "lightshift_pdf",
     "lightshift_cdf",
     "lightshift_sample",
-    "sample_jump_phase",
 ]
 
 # Exact SI values.
@@ -184,19 +182,3 @@ class HomogeneousNoiseSpec:
         if n < 1:
             raise DomainError(f"need at least one interval, got n = {n}")
         return HomogeneousNoiseSpec(np.full(n, sigma_sig / np.sqrt(n)))
-
-
-def sample_jump_phase(
-    spec: HomogeneousNoiseSpec, tau: float, t: float, rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw the phase sum_i c_i * jump_i that the jumps leave at readout time t.
-
-    The c_i are ``bloch.jump_weights(tau, spec.n, t)``.  A weighted sum of
-    independent zero-mean Gaussians is one Gaussian with standard deviation
-    sqrt(sum_i c_i**2 * sigma_i**2), so one standard normal per shot replaces
-    n.  Returns a float for ``size=None``, else an array.
-    """
-    c = jump_weights(tau, spec.n, t)
-    scale = float(np.sqrt(np.sum((c * spec.sigmas) ** 2)))
-    return scale * rng.standard_normal(size)

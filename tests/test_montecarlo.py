@@ -38,6 +38,7 @@ from dephasim.montecarlo import (
     simulate_dataset,
 )
 from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution
+from test_noise import sample_jump_phase
 
 ETA = 1.4e-3 / 0.97      # light-shift rate giving the measured 1.4 ms envelope time
 
@@ -165,24 +166,74 @@ def test_batch_kernel_matches_per_draw_evolution():
                 assert batch[k] == pytest.approx(oracle, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_one_gaussian_per_shot_matches_filter_factor_off_echo(n):
-    # Per-interval sigmas differ, so the readout-dependent last weight must
-    # pair with the last sigma.  The bound is 4 standard errors of the mean
-    # over independent batches of draws.
+# Bound on the float64 rounding between two evaluations of the same closed
+# form on values of magnitude <= 1, fixed before any run: each side rounds a
+# dozen operations (the jump variance, exp, cos, their product, the readout),
+# each within 2**-53 = 1.1e-16 relative, so they agree within about 3e-15.
+ROUNDING_BOUND = 1e-14
+
+
+def filter_factor_case(n):
+    """Sequence, unequal per-interval sigmas and two off-echo readout times."""
     tau, delta = 2e-3, 2 * math.pi * 60.0
     sigmas = np.linspace(50.0, 200.0, n)
     seq = SequenceSpec("spin_echo" if n == 1 else "cpmg", n, tau=tau, delta=delta)
+    return seq, sigmas, (2 * n * tau - 0.6 * tau, 2 * n * tau + 0.4e-3)
+
+
+def filter_factor_w(seq, sigmas, t):
+    """(-1)**n cos(delta x) exp(-(1/2) sum_i c_i**2 sigma_i**2), x = t - 2 n tau."""
+    c = jump_weights(seq.tau, seq.n, t)
+    return (-1.0) ** seq.n * math.cos(seq.delta * (t - 2 * seq.n * seq.tau)) \
+        * math.exp(-0.5 * np.sum(c**2 * sigmas**2))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_one_gaussian_per_shot_matches_filter_factor_off_echo(n):
+    # Per-interval sigmas differ, so the readout-dependent last weight must
+    # pair with the last sigma.  With jumps only, the estimate is the exact
+    # filter factor, one deterministic evaluation: equal within rounding, and
+    # no random number is drawn.
+    seq, sigmas, times = filter_factor_case(n)
     cfg = ExperimentConfig(sequence=seq, homogeneous=HomogeneousNoiseSpec(sigmas),
-                           time_grid=(2 * n * tau,), noise_draws=2000)
+                           time_grid=(2 * n * seq.tau,))
     rng = np.random.default_rng(40 + n)
-    for t in (2 * n * tau - 0.6 * tau, 2 * n * tau + 0.4e-3):
-        c = jump_weights(tau, n, t)
-        w = (-1.0) ** n * math.cos(delta * (t - 2 * n * tau)) \
-            * math.exp(-0.5 * np.sum(c**2 * sigmas**2))
-        batches = np.array([ensemble_probability(cfg, t, rng) for _ in range(200)])
-        se = np.std(batches, ddof=1) / math.sqrt(batches.size)
-        assert abs(np.mean(batches) - fraction_from_w(w)) <= 4 * se
+    state = rng.bit_generator.state
+    for t in times:
+        p = ensemble_probability(cfg, t, rng)
+        assert abs(p - fraction_from_w(filter_factor_w(seq, sigmas, t))) <= ROUNDING_BOUND
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_sampled_jump_phase_averages_to_the_filter_factor_off_echo(n):
+    # The draw-level check behind the exact average: the mean of
+    # cos(delta x + S) over one Gaussian S per shot, drawn by the test-side
+    # sampler, lies within 4 standard errors of the same factor.
+    seq, sigmas, times = filter_factor_case(n)
+    spec = HomogeneousNoiseSpec(sigmas)
+    rng = np.random.default_rng(40 + n)
+    for t in times:
+        x = t - 2 * n * seq.tau
+        cosines = np.cos(seq.delta * x + sample_jump_phase(spec, seq.tau, t, rng, size=400_000))
+        se = np.std(cosines, ddof=1) / math.sqrt(cosines.size)
+        assert abs((-1.0) ** n * np.mean(cosines) - filter_factor_w(seq, sigmas, t)) <= 4 * se
+
+
+@pytest.mark.parametrize("light_shift", [False, True])
+def test_overflowing_jump_variance_is_fully_dephased(light_shift):
+    # sigma**2 is finite but (c_n sigma)**2 with c_n = t - tau ~ 10 s is not:
+    # the jump factor is exp(-inf) = 0, so w = 0 and the fraction is the
+    # fully dephased 1/2, without a warning (warnings fail the suite).
+    seq = SequenceSpec("spin_echo", 1, tau=5e-3, delta=2 * math.pi * 300.0)
+    cfg = ExperimentConfig(
+        sequence=seq, homogeneous=HomogeneousNoiseSpec([1.3e154]),
+        inhomogeneous=LightShiftDistribution(0.0, ETA) if light_shift else None,
+        time_grid=(10.0,), noise_draws=1000, contrast=0.8,
+    )
+    assert ensemble_probability(cfg, 10.0, np.random.default_rng(5)) == fraction_from_w(0.0)
+    dataset = simulate_dataset(cfg)
+    assert dataset.trials[0] == cfg.cycles_per_point
 
 
 def test_contrast_and_inversion_flow_through():
@@ -258,12 +309,15 @@ def test_ramsey_ensemble_within_five_standard_errors_of_exact_oracle(contrast, i
 @pytest.mark.parametrize("n, invert", [(1, True), (4, False), (6, True)])
 def test_full_noisy_cpmg_within_five_standard_errors_of_exact_oracle(n, invert):
     # Both channels at n >= 1: Phi = (delta - zeeman - delta0 - G) x + S with
-    # x = t - 2 n tau, G ~ Gamma(3, eta) and S ~ N(0, sum_i c_i**2 sigma_i**2)
-    # independent, so E[exp(i Phi)] = exp(i a x) (1 + i x/eta)**-3
-    # exp(-s**2/2) with a = delta - zeeman - delta0, and E[cos 2 Phi] is the
-    # same at 2x and 2S.  The standard error of the fraction is
-    # contrast/2 * sqrt(Var[cos Phi]/draws); the bound, fixed before the run,
-    # is 5 of them.
+    # x = t - 2 n tau, G ~ Gamma(3, eta) and S ~ N(0, s**2),
+    # s**2 = sum_i c_i**2 sigma_i**2, independent, so E[exp(i Phi)] =
+    # exp(i a x) (1 + i x/eta)**-3 exp(-s**2/2) with a = delta - zeeman - delta0.
+    # The estimator draws G only and multiplies by exp(-s**2/2), so its
+    # variance per draw is exp(-s**2) Var[cos phi] = exp(-s**2) [(1 + g(2x))/2
+    # - g(x)**2] with g(kx) = Re[exp(i k a x) (1 + i k x/eta)**-3].  The
+    # standard error of the fraction is contrast/2 * sqrt(variance/draws); the
+    # bound, fixed before the run, is 5 of them.  At the echo (x = 0) every
+    # draw has phi = 0: the estimate is deterministic, equal within rounding.
     tau, contrast, draws = 1e-3, 0.73, 100_000
     delta, zeeman, delta0 = 2 * math.pi * 1.5e3, 2 * math.pi * 200.0, 2 * math.pi * 300.0
     sigmas = np.linspace(40.0, 90.0, n)
@@ -277,17 +331,21 @@ def test_full_noisy_cpmg_within_five_standard_errors_of_exact_oracle(n, invert):
     rng = np.random.default_rng(70 + n)
     a = delta - zeeman - delta0
 
-    def mean_cos(x, s2, k=1):
-        char = np.exp(1j * k * a * x) * (1 + 1j * k * x / ETA) ** -3
-        return char.real * math.exp(-0.5 * k**2 * s2)
+    def g(x, k=1):
+        return (np.exp(1j * k * a * x) * (1 + 1j * k * x / ETA) ** -3).real
 
     for x in (-0.8 * tau, -0.3 * tau, 0.0, 0.25 * tau, 0.9 * tau):
         t = 2 * n * tau + x
         s2 = float(np.sum((jump_weights(tau, n, t) * sigmas) ** 2))
-        variance = (1 + mean_cos(x, s2, 2)) / 2 - mean_cos(x, s2) ** 2
+        exact = fraction_from_w(contrast * (-1) ** n * g(x) * math.exp(-0.5 * s2),
+                                invert=invert)
+        p = ensemble_probability(cfg, t, rng)
+        if x == 0.0:
+            assert abs(p - exact) <= ROUNDING_BOUND
+            continue
+        variance = math.exp(-s2) * ((1 + g(x, 2)) / 2 - g(x) ** 2)
         se = contrast / 2 * math.sqrt(variance / draws)
-        exact = fraction_from_w(contrast * (-1) ** n * mean_cos(x, s2), invert=invert)
-        assert abs(ensemble_probability(cfg, t, rng) - exact) <= 5 * se
+        assert abs(p - exact) <= 5 * se
 
 
 def test_lightshift_onset_shifts_the_fringe_phase():

@@ -14,7 +14,6 @@ from dephasim.noise import (
     lightshift_cdf,
     lightshift_pdf,
     lightshift_sample,
-    sample_jump_phase,
 )
 
 DIST = LightShiftDistribution(delta0=2 * np.pi * 1.0e3, eta=1.4e-3 / 0.97)
@@ -142,6 +141,21 @@ def test_eta_constructors():
 
 
 # ---------------------------------------------------------------- interval jumps
+
+
+def sample_jump_phase(spec, tau, t, rng, size=None):
+    """Draw the phase sum_i c_i * jump_i that the jumps leave at readout time t.
+
+    The draw-level reference for the exact jump average of
+    ``montecarlo.ensemble_probability``.  The c_i are
+    ``bloch.jump_weights(tau, spec.n, t)``.  A weighted sum of independent
+    zero-mean Gaussians is one Gaussian with standard deviation
+    sqrt(sum_i c_i**2 * sigma_i**2), so one standard normal per shot replaces
+    n.  Returns a float for ``size=None``, else an array.
+    """
+    c = jump_weights(tau, spec.n, t)
+    scale = float(np.sqrt(np.sum((c * spec.sigmas) ** 2)))
+    return scale * rng.standard_normal(size)
 
 
 def test_zero_sigmas_give_zero_jumps():
