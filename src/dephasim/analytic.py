@@ -4,21 +4,27 @@ The inhomogeneous (shot-to-shot light shift) channel produces a fringe whose
 contrast decays algebraically and whose phase chirps:
 
     w(t) = (-1)**n * alpha(x) * cos(delta_prime * x + kappa(x)),  x = t - 2*n*tau
-    alpha(x) = [1 + 0.95*(x/T2*)**2]**(-3/2)
-    kappa(x) = -3*arctan(0.97*x/T2*)
+    alpha(x) = [1 + (k*x/T2*)**2]**(-3/2)
+    kappa(x) = -3*arctan(k*x/T2*)
 
 These are the magnitude and phase of the characteristic function of the
-shifted-Gamma light-shift distribution with scale eta = T2*/0.97; the literal
-constants 0.95 and 0.97 are two-decimal roundings of e**(2/3) - 1 and its
-square root (the 1/e point of the envelope defines T2*).  The exact
-characteristic-function forms are exposed separately for oracle tests.
+shifted-Gamma light-shift distribution with scale eta = T2*/k, the law the
+simulator draws, so the fitted T2* is the simulated one.  One constant,
+k = ``T2_STAR_PER_ETA`` = 0.97, enters both: its square in alpha, itself in
+kappa.  The paper rounds e**(2/3) - 1 = 0.9477 (in alpha) and its square
+root 0.9735 (in kappa) to two decimals each, and no single eta satisfies
+both of its printed constants.  With k = 0.97, alpha(T2*) = 0.370, not
+exactly 1/e = 0.368; the exact k = sqrt(e**(2/3) - 1) would move every
+dataset simulated from a T2*.
 
 The homogeneous (per-shot drift) channel leaves a Gaussian visibility decay:
 
     V(t) = C0 * exp(-(1/2) * (t/2n)**2 * sigma_sig**2),   t = 2*n*tau
 
 with 1/e time T2' = 2*sqrt(2)*n/sigma_sig -- coherence prolonged linearly in
-the number of refocusing pulses.
+the number of refocusing pulses.  Off the echo the jumps leave the factor
+exp(-(1/2) * sum_i (c_i*sigma_i)**2) (``_gaussian_factor``), with c_i the
+``bloch.jump_weights``.
 
 Auxiliary models: Rabi oscillation of the measured state fraction and the
 exponential trap-lifetime decay used to calibrate the qubit readout.
@@ -42,10 +48,9 @@ from .bloch import _check_timing
 from .errors import DomainError
 
 __all__ = [
+    "T2_STAR_PER_ETA",
     "envelope_alpha",
     "envelope_kappa",
-    "envelope_alpha_exact",
-    "envelope_kappa_exact",
     "fringe_inhomogeneous",
     "visibility_cpmg",
     "homogeneous_factor",
@@ -57,40 +62,29 @@ __all__ = [
 ]
 
 
+#: k = T2*/eta: the fringe-envelope 1/e time T2* per unit of the light-shift
+#: scale eta.  The envelopes and the simulator's eta = T2*/k both read it.
+T2_STAR_PER_ETA = 0.97
+
+
 def _scalar_or_array(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
 def envelope_alpha(x, t2_star: float):
-    """Fringe-contrast envelope [1 + 0.95*(x/T2*)**2]**(-3/2)."""
+    """Fringe-contrast envelope [1 + (k*x/T2*)**2]**(-3/2), k = ``T2_STAR_PER_ETA``."""
     if not t2_star > 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    r = np.asarray(x, dtype=float) / t2_star
-    return _scalar_or_array(x, (1.0 + 0.95 * r**2) ** -1.5)
+    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
+    return _scalar_or_array(x, (1.0 + kr**2) ** -1.5)
 
 
 def envelope_kappa(x, t2_star: float):
-    """Fringe phase chirp -3*arctan(0.97*x/T2*)."""
+    """Fringe phase chirp -3*arctan(k*x/T2*), k = ``T2_STAR_PER_ETA``."""
     if not t2_star > 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    r = np.asarray(x, dtype=float) / t2_star
-    return _scalar_or_array(x, -3.0 * np.arctan(0.97 * r))
-
-
-def envelope_alpha_exact(x, eta: float):
-    """Exact envelope: magnitude (1 + (x/eta)**2)**(-3/2) of the Gamma characteristic function."""
-    if not eta > 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    r = np.asarray(x, dtype=float) / eta
-    return _scalar_or_array(x, (1.0 + r**2) ** -1.5)
-
-
-def envelope_kappa_exact(x, eta: float):
-    """Exact phase: -3*arctan(x/eta) of the Gamma characteristic function."""
-    if not eta > 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    r = np.asarray(x, dtype=float) / eta
-    return _scalar_or_array(x, -3.0 * np.arctan(r))
+    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
+    return _scalar_or_array(x, -3.0 * np.arctan(kr))
 
 
 def _fringe(x, visibility, delta_prime, phase, t2_star, n):
@@ -106,8 +100,8 @@ def _fringe(x, visibility, delta_prime, phase, t2_star, n):
 def _fringe_jacobian(x, visibility, delta_prime, phase, t2_star, n, with_t2_star):
     """Columns d/d(visibility, delta_prime, phase) of ``_fringe``, then d/d t2_star if asked.
 
-    With r = x/T2*: d alpha/d T2* = alpha * 2.85 r**2 / (T2* (1 + 0.95 r**2)) and
-    d kappa/d T2* = 2.91 r / (T2* (1 + 0.9409 r**2)).
+    With kr = k*x/T2*: d alpha/d T2* = alpha * 3 kr**2 / (T2* (1 + kr**2)) and
+    d kappa/d T2* = 3 kr / (T2* (1 + kr**2)).
     """
     signed_alpha = (-1.0) ** n * envelope_alpha(x, t2_star)
     psi = delta_prime * x + phase + envelope_kappa(x, t2_star)
@@ -115,9 +109,9 @@ def _fringe_jacobian(x, visibility, delta_prime, phase, t2_star, n, with_t2_star
     d_psi = -visibility * signed_alpha * np.sin(psi)     # d/d phase
     columns = [cos_part, d_psi * x, d_psi]
     if with_t2_star:
-        r = x / t2_star
-        columns.append((visibility * cos_part * 2.85 * r**2 / (1.0 + 0.95 * r**2)
-                        + d_psi * 2.91 * r / (1.0 + 0.9409 * r**2)) / t2_star)
+        kr = T2_STAR_PER_ETA * x / t2_star
+        columns.append(3.0 * kr * (visibility * cos_part * kr + d_psi)
+                       / ((1.0 + kr**2) * t2_star))
     return np.column_stack(columns)
 
 
@@ -163,6 +157,18 @@ def visibility_cpmg(t, c0: float, sigma_sig: float, n: int):
     return _scalar_or_array(t, _visibility(t_arr, c0, sigma_sig, n))
 
 
+def _gaussian_factor(c, sigmas) -> float:
+    """exp(-(1/2) * sum_i (c_i*sigma_i)**2), unchecked.
+
+    The mean of cos(sum_i c_i*J_i) over independent zero-mean Gaussian jumps
+    J_i with standard deviations sigma_i.  A sum of squares that overflows is
+    a fully dephased point: the factor is 0.
+    """
+    with np.errstate(over="ignore"):
+        s2 = np.sum((c * sigmas) ** 2)
+    return math.exp(-0.5 * s2)
+
+
 def homogeneous_factor(tau: float, sigmas) -> float:
     """Ensemble-averaged fringe reduction exp(-(1/2)*tau**2*sum(sigma_i**2)).
 
@@ -175,7 +181,7 @@ def homogeneous_factor(tau: float, sigmas) -> float:
     arr = np.asarray(sigmas, dtype=float)
     if np.any(arr < 0):
         raise DomainError("all sigma_i must be >= 0")
-    return float(np.exp(-0.5 * tau**2 * np.sum(arr**2)))
+    return _gaussian_factor(tau, arr)
 
 
 def t2_prime(n: int, sigma_sig: float) -> float:

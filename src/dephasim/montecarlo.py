@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytic import _readout
+from .analytic import _gaussian_factor, _readout
 from .bloch import SequenceSpec, accumulated_phase, jump_weights
 from .errors import DataFormatError, DomainError, FitError
 from .fit import fit_fringe, points_from_counts
@@ -340,8 +340,9 @@ def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | N
     phase (``_mean_cos``: within 3e-7 per draw for |Phi| <= 2**30); with no
     inhomogeneous noise the one deterministic phase keeps the exact float64
     cosine.  Homogeneous noise at n >= 1 multiplies that mean by the exact
-    Gaussian average exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights``,
-    and draws nothing; a variance that overflows gives the factor 0.
+    Gaussian average exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights``
+    (``analytic._gaussian_factor``), and draws nothing; a variance that
+    overflows gives the factor 0.
     """
     seq = config.sequence
     delta_eff = seq.delta - config.zeeman_shift
@@ -355,9 +356,8 @@ def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | N
         delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
         mean_cos = _mean_cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     if config.homogeneous is not None and seq.n >= 1:
-        with np.errstate(over="ignore"):  # s**2 = inf: fully dephased, factor exp(-inf) = 0
-            s2 = np.sum((jump_weights(seq.tau, seq.n, t) * config.homogeneous.sigmas) ** 2)
-        mean_cos = mean_cos * math.exp(-0.5 * s2)
+        mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
+                                               config.homogeneous.sigmas)
     w = (-1.0) ** seq.n * mean_cos  # |w| <= 1: no range check needed
     return _readout(config.contrast * w, config.invert_fraction)
 

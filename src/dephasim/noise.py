@@ -25,23 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import T2_STAR_PER_ETA
 from .errors import DomainError
 
 __all__ = [
     "LightShiftDistribution",
     "HomogeneousNoiseSpec",
     "lightshift_pdf",
-    "lightshift_cdf",
     "lightshift_sample",
 ]
-
-# Exact SI values.
-_HBAR = 1.054571817e-34  # J s
-_KB = 1.380649e-23  # J / K
-
-#: Ratio between the fringe-envelope 1/e time T2* and the distribution scale
-#: eta; see the analytic module's envelope functions.
-T2_STAR_PER_ETA = 0.97
 
 
 @dataclass(frozen=True)
@@ -69,29 +61,16 @@ class LightShiftDistribution:
             raise DomainError(f"eta must be positive, got {self.eta}")
 
     @staticmethod
-    def from_physical(
-        delta_eff: float, temperature: float, omega_hfs: float
-    ) -> "LightShiftDistribution":
-        """Derive eta = 2*hbar*delta_eff / (k_B * T * omega_hfs), delta0 = 0.
-
-        Parameters are the effective trap-laser detuning (rad/s), the atom
-        temperature (K), and the hyperfine splitting (rad/s).
-        """
-        eta = 2.0 * _HBAR * delta_eff / (_KB * temperature * omega_hfs)
-        return LightShiftDistribution(delta0=0.0, eta=eta)
-
-    @staticmethod
     def from_t2_star(t2_star: float, delta0: float = 0.0) -> "LightShiftDistribution":
-        """Derive eta from the Ramsey-envelope 1/e time: eta = T2*/0.97."""
+        """Derive eta from the Ramsey-envelope time: eta = T2*/k, k = ``T2_STAR_PER_ETA``.
+
+        The fit model's envelopes (``analytic.envelope_alpha`` and
+        ``envelope_kappa``) are the magnitude and phase of this law's
+        characteristic function.
+        """
         if not t2_star > 0:
             raise DomainError(f"T2* must be positive, got {t2_star}")
         return LightShiftDistribution(delta0=delta0, eta=t2_star / T2_STAR_PER_ETA)
-
-    def mean(self) -> float:
-        return self.delta0 + 3.0 / self.eta
-
-    def var(self) -> float:
-        return 3.0 / self.eta**2
 
 
 def lightshift_pdf(dist: LightShiftDistribution, delta_ls) -> np.ndarray | float:
@@ -102,14 +81,6 @@ def lightshift_pdf(dist: LightShiftDistribution, delta_ls) -> np.ndarray | float
     x = np.asarray(delta_ls, dtype=float)
     z = dist.eta * (x - dist.delta0)
     out = np.where(z >= 0, 0.5 * dist.eta * z**2 * np.exp(-np.clip(z, 0, None)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def lightshift_cdf(dist: LightShiftDistribution, delta_ls) -> np.ndarray | float:
-    """Cumulative distribution: 1 - exp(-z)(1 + z + z^2/2) with z = eta*(x - delta0)."""
-    x = np.asarray(delta_ls, dtype=float)
-    z = np.clip(dist.eta * (x - dist.delta0), 0, None)
-    out = -np.expm1(-z) - np.exp(-z) * (z + 0.5 * z**2)
     return float(out) if out.ndim == 0 else out
 
 

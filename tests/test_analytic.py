@@ -7,11 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from dephasim.analytic import (
+    T2_STAR_PER_ETA,
     _fringe,
     envelope_alpha,
-    envelope_alpha_exact,
     envelope_kappa,
-    envelope_kappa_exact,
     fraction_from_w,
     fringe_inhomogeneous,
     homogeneous_factor,
@@ -21,7 +20,7 @@ from dephasim.analytic import (
     visibility_cpmg,
     w_from_fraction,
 )
-from dephasim.bloch import accumulated_phase
+from dephasim.bloch import accumulated_phase, jump_weights
 from dephasim.errors import DomainError
 from dephasim.noise import LightShiftDistribution, lightshift_pdf
 
@@ -53,7 +52,8 @@ def quadrature_fringe_transform(x, dist):
 
 def test_alpha_anchor_values():
     assert envelope_alpha(0.0, T2_STAR) == 1.0
-    assert envelope_alpha(T2_STAR, T2_STAR) == pytest.approx(0.3672383969432989, rel=1e-12)
+    # (1 + k**2)**(-3/2) with k = 0.97: 0.370 at x = T2*, not exactly 1/e
+    assert envelope_alpha(T2_STAR, T2_STAR) == pytest.approx(0.3698241433631481, rel=1e-12)
 
 
 def test_kappa_anchor_and_asymptote():
@@ -64,11 +64,12 @@ def test_kappa_anchor_and_asymptote():
 
 
 def test_kappa_equals_exact_characteristic_phase():
-    # -3*arctan(0.97*x/T2*) is identically -3*arctan(x/eta) for eta = T2*/0.97.
+    # -3*arctan(k*x/T2*) is identically -3*arctan(x/eta) for eta = T2*/k,
+    # and [1 + (k*x/T2*)**2]**(-3/2) is the magnitude (1 + (x/eta)**2)**(-3/2).
     x = np.linspace(-5 * T2_STAR, 5 * T2_STAR, 101)
-    assert envelope_kappa(x, T2_STAR) == pytest.approx(
-        envelope_kappa_exact(x, ETA), abs=1e-15
-    )
+    assert T2_STAR_PER_ETA == 0.97
+    assert envelope_kappa(x, T2_STAR) == pytest.approx(-3 * np.arctan(x / ETA), abs=1e-15)
+    assert envelope_alpha(x, T2_STAR) == pytest.approx((1 + (x / ETA) ** 2) ** -1.5, rel=1e-14)
 
 
 def test_envelopes_match_quadrature_of_the_distribution():
@@ -77,11 +78,9 @@ def test_envelopes_match_quadrature_of_the_distribution():
     mags, phases = zip(*(quadrature_fringe_transform(x, dist) for x in xs))
     phases = np.unwrap(phases)
     for x, mag, phase in zip(xs, mags, phases):
-        assert envelope_alpha(x, T2_STAR) == pytest.approx(mag, rel=0.02)
-        assert abs(envelope_kappa(x, T2_STAR) - phase) < 0.02
-        # the exact characteristic-function forms agree far more tightly
-        assert envelope_alpha_exact(x, ETA) == pytest.approx(mag, rel=1e-7)
-        assert abs(envelope_kappa_exact(x, ETA) - phase) < 1e-7
+        # the envelopes are the characteristic function's magnitude and phase
+        assert envelope_alpha(x, T2_STAR) == pytest.approx(mag, rel=1e-7)
+        assert abs(envelope_kappa(x, T2_STAR) - phase) < 1e-7
 
 
 def test_envelope_rejects_bad_scale():
@@ -222,7 +221,8 @@ def test_homogeneous_factor_matches_fringe_average():
     tau, sigmas = 0.01, np.array([10.0, 20.0, 30.0])
     draws = rng.normal(0.0, 1.0, size=(1_000_000, 3)) * sigmas
     # (-1)**n times the echo fringe (-1)**n * cos(Phi) of the phase kernel
-    average = np.mean(np.cos(accumulated_phase(0.0, tau, 3, 6 * tau, draws)))
+    phase = accumulated_phase(0.0, tau, 3, 6 * tau) + draws @ jump_weights(tau, 3, 6 * tau)
+    average = np.mean(np.cos(phase))
     assert average == pytest.approx(homogeneous_factor(tau, sigmas), rel=0.003)
 
 

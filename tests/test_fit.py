@@ -480,6 +480,21 @@ def test_ramsey_co_fits_t2_star():
     assert res.params["delta_prime"] == pytest.approx(2 * math.pi * 8.6e3, rel=0.02)
 
 
+def test_free_t2_star_fit_recovers_the_simulated_envelope_time():
+    # The noise-free mean fraction of the README Ramsey config, taken from the
+    # characteristic function of the light-shift law the simulator draws
+    # (eta = T2*/k): a fit with a free T2* returns that T2*.  The bound,
+    # relative 1e-6, is fixed before the run; a model envelope whose constants
+    # disagree with the simulated law misses it by about 4e-3.
+    delta, contrast = 2 * math.pi * 8600.0, 0.9
+    eta = LightShiftDistribution.from_t2_star(T2_STAR).eta
+    t = np.linspace(5e-5, 3e-3, 1000)
+    w = contrast * (np.exp(1j * delta * t) * (1 + 1j * t / eta) ** -3).real
+    res = fit_fringe(weighted_points(t, (1.0 - w) / 2.0), n=0, tau=0.0, t2_star=None)
+    assert res.converged
+    assert abs(res.params["t2_star"] / T2_STAR - 1) < 1e-6
+
+
 def test_fixed_t2_star_is_reported_as_held():
     xs = np.linspace(1e-4, 2e-3, 21)
     frac = (1.0 - fringe_inhomogeneous(xs, 2 * math.pi * 2e3, T2_STAR, 0)) / 2.0

@@ -10,21 +10,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from bloch_oracle import evolve
 from dephasim.analytic import (
-    envelope_alpha_exact,
-    envelope_kappa_exact,
+    T2_STAR_PER_ETA,
+    envelope_alpha,
+    envelope_kappa,
     fraction_from_w,
     homogeneous_factor,
     t2_prime,
 )
-from dephasim.bloch import (
-    SegmentDetunings,
-    SequenceSpec,
-    accumulated_phase,
-    evolve_cpmg,
-    evolve_cpmg_perturbed,
-    jump_weights,
-)
+from dephasim.bloch import SequenceSpec, accumulated_phase, jump_weights
 from dephasim.errors import DataFormatError, DomainError
 from dephasim.fit import fit_fringe, fit_visibility_decay, weighted_points
 from dephasim.montecarlo import (
@@ -45,7 +40,13 @@ ETA = 1.4e-3 / 0.97      # light-shift rate giving the measured 1.4 ms envelope 
 
 def oracle_w(seq, t):
     """The readout w of ``seq`` at time t from the 3x3 matrix products."""
-    return evolve_cpmg(replace(seq, t=float(t))).w
+    return evolve(seq.delta, seq.tau, seq.n, float(t))[2]
+
+
+def exact_mean_cos(t, a, eta):
+    """E[cos((a - G) t)] for G ~ Gamma(3, eta): the envelopes at T2* = k*eta."""
+    t2_star = T2_STAR_PER_ETA * eta
+    return envelope_alpha(t, t2_star) * np.cos(a * t + envelope_kappa(t, t2_star))
 
 
 def echo_config(**overrides):
@@ -155,14 +156,10 @@ def test_batch_kernel_matches_per_draw_evolution():
         times = ((2 * n - 0.9) * tau, (2 * n - 0.3) * tau, 2 * n * tau + 0.4e-3) if n \
             else (0.1e-3, 0.7e-3, 1.4e-3)
         for t in times:
-            batch = (-1.0) ** n * np.cos(accumulated_phase(delta_eff, tau, n, t, jumps))
+            phase = accumulated_phase(delta_eff, tau, n, t) + jumps @ jump_weights(tau, n, t)
+            batch = (-1.0) ** n * np.cos(phase)
             for k in range(0, 200, 17):
-                if n == 0:
-                    seq = SequenceSpec("ramsey", 0, t=t, delta=float(delta_eff[k]))
-                    oracle = evolve_cpmg(seq).w
-                else:
-                    seg = SegmentDetunings(np.full(n, delta_eff[k]), jumps[k])
-                    oracle = evolve_cpmg_perturbed(tau, n, seg, t=t).w
+                oracle = evolve(delta_eff[k], tau, n, t, jumps[k])[2]
                 assert batch[k] == pytest.approx(oracle, abs=1e-12)
 
 
@@ -274,7 +271,7 @@ def test_ramsey_ensemble_matches_characteristic_function():
     rng = np.random.default_rng(3)
     for t in np.linspace(0.05e-3, 3e-3, 12):
         p = ensemble_probability(cfg, float(t), rng)
-        w = envelope_alpha_exact(t, ETA) * math.cos(delta * t + envelope_kappa_exact(t, ETA))
+        w = exact_mean_cos(t, delta, ETA)
         assert p == pytest.approx((1 - w) / 2, abs=0.01)
 
 
@@ -297,7 +294,7 @@ def test_ramsey_ensemble_within_five_standard_errors_of_exact_oracle(contrast, i
     a = delta - zeeman - delta0
 
     def mean_cos(t):
-        return envelope_alpha_exact(t, ETA) * math.cos(a * t + envelope_kappa_exact(t, ETA))
+        return exact_mean_cos(t, a, ETA)
 
     for t in (0.1e-3, 0.45e-3, 0.9e-3, 1.6e-3, 2.7e-3, 4.0e-3):
         variance = (1 + mean_cos(2 * t)) / 2 - mean_cos(t) ** 2
@@ -359,7 +356,7 @@ def test_lightshift_onset_shifts_the_fringe_phase():
     )
     rng = np.random.default_rng(9)
     t = 0.8e-3
-    w = envelope_alpha_exact(t, ETA) * math.cos((delta - delta0) * t + envelope_kappa_exact(t, ETA))
+    w = exact_mean_cos(t, delta - delta0, ETA)
     assert ensemble_probability(cfg, t, rng) == pytest.approx((1 - w) / 2, abs=0.01)
 
 
@@ -430,7 +427,7 @@ def test_ramsey_dataset_counts_pass_chi_square_against_exact_moments():
     t = np.array(cfg.time_grid)
 
     def mean_cos(t):
-        return envelope_alpha_exact(t, eta) * np.cos(delta * t + envelope_kappa_exact(t, eta))
+        return exact_mean_cos(t, delta, eta)
 
     p = fraction_from_w(contrast * mean_cos(t))
     var_p_hat = contrast**2 / 4 * ((1 + mean_cos(2 * t)) / 2 - mean_cos(t) ** 2) / draws
