@@ -87,24 +87,29 @@ def envelope_kappa(x, t2_star: float):
     return _scalar_or_array(x, -3.0 * np.arctan(kr))
 
 
-def _fringe(x, visibility, delta_prime, phase, t2_star, n):
+def _envelope(x, t2_star, n):
+    """The envelope part of ``_fringe``: (-1)**n * alpha(x) and kappa(x)."""
+    return (-1.0) ** n * envelope_alpha(x, t2_star), envelope_kappa(x, t2_star)
+
+
+def _fringe(x, visibility, delta_prime, phase, t2_star, n, envelope=None):
     """visibility * (-1)**n * alpha(x) * cos(delta_prime*x + phase + kappa(x)).
 
-    x is the time from the echo, t - 2*n*tau.  Nothing is checked but the
-    envelopes' t2_star > 0.
+    x is the time from the echo, t - 2*n*tau; ``envelope``, when given, is
+    ``_envelope(x, t2_star, n)``.  Nothing is checked but t2_star > 0.
     """
-    return (visibility * (-1.0) ** n * envelope_alpha(x, t2_star)
-            * np.cos(delta_prime * x + phase + envelope_kappa(x, t2_star)))
+    signed_alpha, kappa = _envelope(x, t2_star, n) if envelope is None else envelope
+    return visibility * signed_alpha * np.cos(delta_prime * x + phase + kappa)
 
 
-def _fringe_jacobian(x, visibility, delta_prime, phase, t2_star, n, with_t2_star):
+def _fringe_jacobian(x, visibility, delta_prime, phase, t2_star, n, with_t2_star, envelope=None):
     """Columns d/d(visibility, delta_prime, phase) of ``_fringe``, then d/d t2_star if asked.
 
-    With kr = k*x/T2*: d alpha/d T2* = alpha * 3 kr**2 / (T2* (1 + kr**2)) and
-    d kappa/d T2* = 3 kr / (T2* (1 + kr**2)).
+    ``envelope`` is as for ``_fringe``.  With kr = k*x/T2*: d alpha/d T2* =
+    alpha * 3 kr**2 / (T2* (1 + kr**2)) and d kappa/d T2* = 3 kr / (T2* (1 + kr**2)).
     """
-    signed_alpha = (-1.0) ** n * envelope_alpha(x, t2_star)
-    psi = delta_prime * x + phase + envelope_kappa(x, t2_star)
+    signed_alpha, kappa = _envelope(x, t2_star, n) if envelope is None else envelope
+    psi = delta_prime * x + phase + kappa
     cos_part = signed_alpha * np.cos(psi)                # d/d visibility
     d_psi = -visibility * signed_alpha * np.sin(psi)     # d/d phase
     columns = [cos_part, d_psi * x, d_psi]
@@ -157,16 +162,16 @@ def visibility_cpmg(t, c0: float, sigma_sig: float, n: int):
     return _scalar_or_array(t, _visibility(t_arr, c0, sigma_sig, n))
 
 
-def _gaussian_factor(c, sigmas) -> float:
-    """exp(-(1/2) * sum_i (c_i*sigma_i)**2), unchecked.
+def _gaussian_factor(c, sigmas):
+    """exp(-(1/2) * sum_i (c_i*sigma_i)**2) over the last axis, unchecked.
 
     The mean of cos(sum_i c_i*J_i) over independent zero-mean Gaussian jumps
-    J_i with standard deviations sigma_i.  A sum of squares that overflows is
-    a fully dephased point: the factor is 0.
+    J_i with standard deviations sigma_i, one factor per row of c.  A sum of
+    squares that overflows is a fully dephased point: the factor is 0.
     """
     with np.errstate(over="ignore"):
-        s2 = np.sum((c * sigmas) ** 2)
-    return math.exp(-0.5 * s2)
+        s2 = np.sum(np.atleast_1d(c * sigmas) ** 2, axis=-1)
+    return np.exp(-0.5 * s2)
 
 
 def homogeneous_factor(tau: float, sigmas) -> float:
@@ -181,7 +186,7 @@ def homogeneous_factor(tau: float, sigmas) -> float:
     arr = np.asarray(sigmas, dtype=float)
     if np.any(arr < 0):
         raise DomainError("all sigma_i must be >= 0")
-    return _gaussian_factor(tau, arr)
+    return float(_gaussian_factor(tau, arr))
 
 
 def t2_prime(n: int, sigma_sig: float) -> float:

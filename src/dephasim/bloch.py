@@ -116,15 +116,16 @@ def _check_timing(tau: float, n: int, t=None):
     return t
 
 
-def jump_weights(tau: float, n: int, t: float) -> np.ndarray:
+def jump_weights(tau: float, n: int, t) -> np.ndarray:
     """Weights c_i with which the jump across half turn i enters the phase.
 
-    c_i = (-1)**(n-i) * tau for i < n and c_n = t - (2n-1)*tau, the time
-    from the last half turn to the readout; empty for n = 0.
+    c_i = (-1)**(n-i) * tau for i < n and c_n = t - (2n-1)*tau, the time from the
+    last half turn to the readout, along a last axis: shape t.shape + (n,), empty for n = 0.
     """
-    c = tau * (-1.0) ** (n - np.arange(1, n + 1))
+    t = np.asarray(t, dtype=float)
+    c = np.tile(tau * (-1.0) ** (n - np.arange(1, n + 1)), t.shape + (1,))
     if n >= 1:
-        c[-1] = t - (2 * n - 1) * tau
+        c[..., -1] = t - (2 * n - 1) * tau
     return c
 
 

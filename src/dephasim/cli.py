@@ -33,7 +33,8 @@ from .bloch import SEQUENCE_KINDS, SequenceSpec
 from .errors import ConfigError, DataFormatError, DomainError, FitError
 from .fit import FITTERS, fit_visibility_decay, weighted_points
 from .montecarlo import (
-    ExperimentConfig, FringeDataset, _read_table, scan_visibility, simulate_dataset,
+    ExperimentConfig, FringeDataset, _fringe_grids, _read_table, scan_visibility,
+    simulate_dataset,
 )
 from .noise import HomogeneousNoiseSpec, LightShiftDistribution
 from .analytic import t2_prime
@@ -236,10 +237,10 @@ def _parse_sweep_section(doc: dict) -> dict:
                           f"expected [low, high] positive multiples of T2', got {span!r}")
     rows = {}
     for key, row in sweep["rows"].items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise ConfigError(f"sweep.rows.{key}", "row keys must be pulse numbers") from None
+        n = int(key) if key.isascii() and key.isdigit() and len(key) < 20 else None
+        if n is None or str(n) != key:  # "01" or "1_0" would alias the row of another n
+            raise ConfigError(f"sweep.rows.{key}",
+                              "row keys must be pulse numbers: digits, no sign or leading zero")
         rows[n] = _value(row, _SWEEP_ROW, f"sweep.rows.{key}")
     return {"tau_points": sweep["tau_points"], "span": (float(span[0]), float(span[1])),
             "points_per_fringe": sweep["points_per_fringe"], "rows": rows}
@@ -388,7 +389,7 @@ def cmd_sweep_n(args) -> int:
     default_sigma = (base_config.homogeneous.sigma_sig
                      if base_config.homogeneous is not None else None)
 
-    # Every row's config is built, and so checked, before the first scan writes a file.
+    # Every row's config and fringe grids are built, and so checked, before a scan writes.
     plan = []
     for n in n_list:
         if n < 1:
@@ -407,6 +408,11 @@ def cmd_sweep_n(args) -> int:
         )
         lo, hi = sweep["span"]
         taus = t2_prime(n, sigma_sig) * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
+        grids = _fringe_grids(config, taus, sweep["points_per_fringe"])
+        if not (0 < taus.min() <= taus.max() < math.inf
+                and all(np.all(np.diff(grid) > 0) for grid in grids)):
+            where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
+            raise ConfigError(where, f"sigma_sig {sigma_sig} rad/s gives no finite increasing grid")
         plan.append((n, config, taus))
 
     summary = []

@@ -28,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from .analytic import (
+    _envelope,
     _fringe,
     _fringe_jacobian,
     _rabi,
@@ -491,15 +492,17 @@ def fit_fringe(
         names.append("t2_star")
         bounds.append((1e-9, None))
     offset = 2 * n * tau
+    # A held T2* fixes the envelope at the data's times: computed once, for every call.
+    envelope = None if t2_star is None else _envelope(x - offset, t2_star, n)
 
     def curve(t, theta):
         scale = theta[3] if t2_star is None else t2_star
-        return _readout(_fringe(t - offset, *theta[:3], scale, n), False)
+        return _readout(_fringe(t - offset, *theta[:3], scale, n, envelope), False)
 
     def jacobian(t, theta):
         scale = theta[3] if t2_star is None else t2_star
         # the readout (1 - w)/2 scales every derivative of w by -1/2
-        return -0.5 * _fringe_jacobian(t - offset, *theta[:3], scale, n, t2_star is None)
+        return -0.5 * _fringe_jacobian(t - offset, *theta[:3], scale, n, t2_star is None, envelope)
 
     start = curve(x, theta0)
     if np.dot(y - np.mean(y), start - np.mean(start)) < 0:

@@ -27,12 +27,13 @@ cosines are averaged in float64.  Per draw, and so in the mean, this is within
 3e-7 of the float64 cosine for |Phi| <= 2**30 (the Monte Carlo standard error
 of the mean at a dephased point is about 5e-3 at 20 000 draws); a batch with a
 larger or non-finite phase takes the float64 cosine.  A config without
-inhomogeneous noise is one deterministic phase and stays exact float64.
+inhomogeneous noise is one deterministic phase per time, exact float64, and
+a dataset evaluates its whole grid in one array call.
 
 Reproducibility contract: a dataset is one random stream,
-``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid
-point come from it in grid order, then all success counts in one binomial
-call, so the same config and seed give bit-identical datasets on every run.
+``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid point
+(still drawn point by point) come from it in grid order, then all success counts
+in one binomial call: the same config and seed give bit-identical datasets.
 A visibility scan keys one such stream per pulse spacing, from
 ``(rng_seed, row index)``.
 """
@@ -332,29 +333,31 @@ def _mean_cos(phase: np.ndarray):
     return np.mean(np.cos(reduced, out=reduced), dtype=np.float64)
 
 
-def ensemble_probability(config: ExperimentConfig, t: float, rng, draws: int | None = None) -> float:
-    """Ensemble-averaged success probability at readout time t.
+def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = None):
+    """Ensemble-averaged success probability at readout time t, or at each time of a grid t.
 
     Averages cos(Phi) over ``draws`` light-shift realizations (default
-    ``config.noise_draws``) through the float32 cosine of the float64-reduced
-    phase (``_mean_cos``: within 3e-7 per draw for |Phi| <= 2**30); with no
-    inhomogeneous noise the one deterministic phase keeps the exact float64
-    cosine.  Homogeneous noise at n >= 1 multiplies that mean by the exact
-    Gaussian average exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights``
-    (``analytic._gaussian_factor``), and draws nothing; a variance that
-    overflows gives the factor 0.
+    ``config.noise_draws``) per time, drawn in grid order, through the float32
+    cosine of the float64-reduced phase (``_mean_cos``: within 3e-7 per draw for
+    |Phi| <= 2**30); with no inhomogeneous noise the one phase per time keeps the
+    exact float64 cosine, one array expression over the grid.  Homogeneous noise
+    at n >= 1 multiplies that mean by the exact Gaussian average
+    exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
+    and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
     """
     seq = config.sequence
     delta_eff = seq.delta - config.zeeman_shift
-    if config.inhomogeneous is None:  # one deterministic phase
+    if config.inhomogeneous is None:  # one deterministic phase per readout time
         mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     else:
         draws = config.noise_draws if draws is None else draws
-        # Rebinding frees the sampler's (3, draws) buffer before the phase is
-        # allocated, so its pages are reused: holding it through the cosine
-        # cost ~200 page faults and ~1.8x the time per 20 000-draw point.
-        delta_eff = delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws)
-        mean_cos = _mean_cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
+        mean_cos = np.empty(np.shape(t))
+        for i, point in enumerate(np.ravel(t)):
+            # No name holds the sampler's (3, draws) buffer or a draw batch, so their pages
+            # are reused: holding the buffer through the cosine cost ~1.8x per point.
+            mean_cos.flat[i] = _mean_cos(accumulated_phase(
+                delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws),
+                seq.tau, seq.n, point))
     if config.homogeneous is not None and seq.n >= 1:
         mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
                                                config.homogeneous.sigmas)
@@ -374,7 +377,7 @@ def simulate_dataset(config: ExperimentConfig) -> FringeDataset:
     if not config.time_grid:
         raise DomainError("config has an empty time grid")
     rng = np.random.default_rng(config.rng_seed)
-    p_hat = [ensemble_probability(config, t, rng) for t in config.time_grid]
+    p_hat = ensemble_probability(config, config.time_grid, rng)
     return binomial_dataset(config.time_grid, p_hat, config.cycles_per_point, rng)
 
 
@@ -405,6 +408,18 @@ class VisibilityPoint:
 _CARRIER_PERIODS = 3.0  # fringe periods a scan covers, when 0.95 tau on each side allows
 
 
+def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> list[np.ndarray]:
+    """Readout times of each fringe of a scan, symmetric around its echo time 2*n*tau."""
+    carrier = (config.sequence.delta - config.zeeman_shift
+               - (config.inhomogeneous.delta0 if config.inhomogeneous else 0.0))
+    if abs(carrier) < 1e-9:
+        raise DomainError("visibility scan needs a nonzero effective carrier detuning "
+                          "to produce fringes")
+    spans = [min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau) for tau in taus]
+    return [2 * config.sequence.n * tau + np.linspace(-half_span, half_span, points_per_fringe)
+            for tau, half_span in zip(taus, spans)]
+
+
 def scan_visibility(
     config: ExperimentConfig,
     tau_grid,
@@ -420,21 +435,11 @@ def scan_visibility(
     seq = config.sequence
     if seq.n < 1:
         raise DomainError("visibility scans need at least one refocusing pulse")
-    carrier = seq.delta - config.zeeman_shift
-    t2_star = math.inf
-    if config.inhomogeneous is not None:
-        carrier -= config.inhomogeneous.delta0
-        t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta
-    if abs(carrier) < 1e-9:
-        raise DomainError(
-            "visibility scan needs a nonzero effective carrier detuning to produce fringes"
-        )
+    t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
+    taus = [float(tau) for tau in tau_grid]
     points = []
-    for j, tau in enumerate(tau_grid):
-        tau = float(tau)
-        half_span = min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau)
+    for j, (tau, grid) in enumerate(zip(taus, _fringe_grids(config, taus, points_per_fringe))):
         echo_time = 2 * seq.n * tau
-        grid = echo_time + np.linspace(-half_span, half_span, points_per_fringe)
         sub_seed = int(np.random.SeedSequence(
             entropy=config.rng_seed, spawn_key=(2, j)
         ).generate_state(1)[0])

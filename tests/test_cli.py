@@ -497,6 +497,47 @@ def test_sweep_checks_every_n_before_the_first_scan(tmp_path, capsys, n_list, ke
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "-0", "1.0", "one"])
+def test_sweep_row_keys_must_name_their_pulse_number_exactly(tmp_path, capsys, monkeypatch, key):
+    # int() reads "01" as 1 and "1_0" as 10: such a key would alias another row
+    # (the later one silently winning), so only the key str(n) names row n.
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}},
+            key: {"sigma_sig": {"value": 49.1, "angular": True}}}
+    config = write_config(tmp_path / "cfg.json", sweep_doc(rows=rows))
+    rc = main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: sweep.rows.{key}: row keys must be pulse numbers" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigma_sig", [0.0, 1e-300, 5e-310])
+@pytest.mark.parametrize("source", ["row", "homogeneous"])
+def test_sweep_checks_every_row_grid_before_the_first_scan(tmp_path, capsys, sigma_sig, source):
+    # sigma_sig = 0 gives T2' = inf and infinite pulse spacings; 1e-300 rad/s gives
+    # spacings near 1e300 s, at which the fringe's readout times round to one
+    # value; 5e-310 overflows T2'.  Row 6 is refused, naming where its sigma_sig
+    # came from (its row, or the homogeneous section), before row 1 is scanned,
+    # so nothing is written.
+    bad = {"sigma_sig": {"value": sigma_sig, "angular": True}}
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}}}
+    if source == "row":
+        rows["6"] = bad
+    doc = sweep_doc(rows=rows, sigma_sig=sigma_sig if source == "homogeneous" else None)
+    config = write_config(tmp_path / "cfg.json", doc)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    rc = main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)])
+    assert rc == 2
+    key = "sweep.rows.6.sigma_sig" if source == "row" else "homogeneous"
+    err = capsys.readouterr().err
+    assert f"error: {key}: sigma_sig " in err  # the quadrature sum of tiny sigmas may read 0
+    assert "rad/s gives no finite increasing grid" in err
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def table_sweep(tmp_path_factory):
     root = tmp_path_factory.mktemp("table_sweep")

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bloch_oracle import evolve
@@ -231,6 +233,58 @@ def test_overflowing_jump_variance_is_fully_dephased(light_shift):
     assert ensemble_probability(cfg, 10.0, np.random.default_rng(5)) == fraction_from_w(0.0)
     dataset = simulate_dataset(cfg)
     assert dataset.trials[0] == cfg.cycles_per_point
+    # On a grid the overflow stays with its own time: at t = tau the last
+    # weight is 0 and the factor 1, so that point keeps its fringe.
+    grid = np.array([5e-3, 10.0, 20.0])
+    p = ensemble_probability(cfg, grid, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(p, [ensemble_probability(cfg, t, rng) for t in grid])
+    assert np.all(p[1:] == fraction_from_w(0.0)) and p[0] != fraction_from_w(0.0)
+
+
+@st.composite
+def grid_configs(draw):
+    """A config with jumps of unequal sigmas and a readout grid valid for its n."""
+    n = draw(st.integers(0, 6))
+    tau = draw(st.floats(1e-4, 1e-2))
+    kind = {0: "ramsey", 1: "spin_echo"}.get(n, "cpmg")
+    seq = SequenceSpec(kind, n, tau=tau if n else 0.0,
+                       delta=draw(st.floats(-2 * math.pi * 2e3, 2 * math.pi * 2e3)))
+    sigmas = draw(st.lists(st.floats(0.0, 400.0), min_size=max(n, 1), max_size=max(n, 1),
+                           unique=True))
+    earliest = seq.earliest_readout
+    offsets = draw(st.lists(st.floats(0.0, 4 * max(tau, 1e-3)), min_size=1, max_size=25,
+                            unique=True))
+    return ExperimentConfig(
+        sequence=seq, homogeneous=HomogeneousNoiseSpec(sigmas),
+        time_grid=tuple(sorted({earliest + x for x in offsets})),
+        zeeman_shift=draw(st.floats(-2 * math.pi * 500.0, 2 * math.pi * 500.0)),
+        contrast=draw(st.floats(0.0, 1.0)), invert_fraction=draw(st.booleans()),
+        noise_draws=64, rng_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=grid_configs(), light_shift=st.booleans())
+def test_grid_call_equals_the_per_point_calls(cfg, light_shift):
+    # One call over the whole grid is the per-point calls in grid order.  With
+    # jumps only, each point is one deterministic float64 evaluation and no
+    # random number is drawn; with a light shift, each point's draws come from
+    # the stream in grid order, so two generators of one seed agree exactly.
+    grid = np.array(cfg.time_grid)
+    if light_shift:
+        cfg = replace(cfg, inhomogeneous=LightShiftDistribution(2 * math.pi * 50.0, ETA))
+    first, second = np.random.default_rng(cfg.rng_seed), np.random.default_rng(cfg.rng_seed)
+    state = first.bit_generator.state
+    p = ensemble_probability(cfg, grid, first)
+    per_point = np.array([ensemble_probability(cfg, t, second) for t in grid])
+    assert p.shape == grid.shape and np.all((p >= 0.0) & (p <= 1.0))
+    if light_shift:
+        assert np.array_equal(p, per_point)
+        assert first.bit_generator.state == second.bit_generator.state
+    else:
+        assert np.all(np.abs(p - per_point) <= ROUNDING_BOUND)
+        assert first.bit_generator.state == state
 
 
 def test_contrast_and_inversion_flow_through():
