@@ -5,8 +5,10 @@ object (``_CONFIG`` and the tables it names) that gives each accepted key
 its kind and default.  Every frequency is an object ``{"value": <number>,
 "angular": <bool>}``: hertz when angular is false (converted to rad/s once
 at load), rad/s when true.  Unknown or missing keys, values of the wrong
-kind, non-finite numbers, frequencies and grids that overflow, and a
-negative ``rng_seed`` are rejected with their dotted path.
+kind, non-finite numbers, frequencies and grids that overflow, a negative
+``rng_seed`` and a negative ``sigma_sig`` of a sweep row are rejected with
+their dotted path.  A key given twice in one object, which ``json`` would
+resolve silently to its last value, is rejected by name.
 
 Exit codes: 0 success; 2 usage, config, or data error; 3 domain-constraint
 violation (e.g. readout before the last pulse); 4 fit non-convergence under
@@ -137,14 +139,26 @@ def _read(doc: dict, table: dict, path: str) -> dict:
     return out
 
 
+def _object_without_repeats(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is refused (``json`` would keep its last value)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ConfigError("", f"key {repeated!r} appears more than once in one object")
+    return doc
+
+
 def _load_document(path) -> tuple[dict, bytes]:
     """The config document at ``path`` and the bytes it was parsed from (read once)."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_object_without_repeats)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(str(path), exc.message) from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ConfigError(str(path), f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -398,6 +412,9 @@ def cmd_sweep_n(args) -> int:
         sigma_sig = row.get("sigma_sig", default_sigma)
         if sigma_sig is None:
             raise ConfigError(f"sweep.rows.{n}", "no sigma_sig available for this n")
+        where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
+        if sigma_sig < 0:
+            raise ConfigError(where, f"sigma_sig must be >= 0, got {sigma_sig} rad/s")
         contrast = row.get("contrast", base_config.contrast)
         kind = "spin_echo" if n == 1 else "cpmg"
         sequence = replace(base_config.sequence, kind=kind, n=n,
@@ -411,7 +428,6 @@ def cmd_sweep_n(args) -> int:
         grids = _fringe_grids(config, taus, sweep["points_per_fringe"])
         if not (0 < taus.min() <= taus.max() < math.inf
                 and all(np.all(np.diff(grid) > 0) for grid in grids)):
-            where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
             raise ConfigError(where, f"sigma_sig {sigma_sig} rad/s gives no finite increasing grid")
         plan.append((n, config, taus))
 

@@ -6,6 +6,15 @@ deliberately dependency-free: the problems here are small and smooth, and
 keeping the solver in-module makes its behaviour (step acceptance, damping
 schedule, convergence tests) fully inspectable by the tests.
 
+The iteration is written once, in ``_fit_stack``, over a stack of B
+independent problems of one model: the model, Jacobian, normal equations and
+damped solves of all B are evaluated together, while each problem keeps its
+own damping, accepted steps, stop reason and history, and a problem whose
+model goes non-finite fails alone.  Each problem's arithmetic is that of its
+fit alone, bit for bit.  ``fit_curve`` is a stack of one; a visibility scan
+fits all its fringes in one stack (``_fit_fringes``), which gives each
+fringe exactly the result ``fit_fringe`` gives it.
+
 Every fit takes one ``FitData`` (arrays x, y and weight = 1/variance, the
 weights checked once, when it is built).  Wrappers cover Rabi oscillation,
 trap relaxation, Ramsey/echo/CPMG fringes, and the Gaussian visibility
@@ -20,6 +29,7 @@ visibility, then fit the visibilities against total time.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -162,14 +172,23 @@ class FitResult:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _finite_or_raise(values, theta, what: str):
-    if not np.all(np.isfinite(values)):
-        raise FitError(f"{what} returned non-finite values at parameters {list(theta)}")
-    return values
-
-
 _COST_TOL = 1e-10
 _GRAD_TOL = 1e-10
+
+
+def _bound_arrays(bounds, size: int):
+    """Box constraints as (lo, hi) arrays; ``None`` entries and sides are open."""
+    lo = np.full(size, -np.inf)
+    hi = np.full(size, np.inf)
+    if bounds is not None:
+        for j, pair in enumerate(bounds):
+            if pair is None:
+                continue
+            if pair[0] is not None:
+                lo[j] = pair[0]
+            if pair[1] is not None:
+                hi[j] = pair[1]
+    return lo, hi
 
 
 def fit_curve(
@@ -212,112 +231,234 @@ def fit_curve(
         lowered the cost by damping 1e8 (``"no_step"``); a non-finite model
         or Jacobian output, or a Jacobian of the wrong shape, raises FitError
         instead.
+
+    The iteration is ``_fit_stack``'s, on a stack of one problem.
     """
-    theta = np.asarray(initial, dtype=float).copy()
-    if not np.all(np.isfinite(theta)):
-        raise FitError(f"initial guess must be finite, got {list(theta)}")
-    x, y, w = data.x, data.y, data.weight
-    if x.size < theta.size:
-        raise FitError(f"{x.size} data points cannot constrain {theta.size} parameters")
+    theta = np.asarray(initial, dtype=float).reshape(1, -1)
+    expected = (data.x.size, theta.shape[1])
+
+    def stacked_curve(x, th):
+        return np.asarray(curve(x, th[0]), dtype=float).reshape(1, -1)
+
+    def stacked_jacobian(x, th):
+        jac = np.asarray(jacobian(x, th[0]), dtype=float)
+        if jac.shape != expected:
+            if not np.all(np.isfinite(jac)):
+                raise FitError(_non_finite("model Jacobian", th[0]))
+            raise FitError(f"model Jacobian has shape {jac.shape}, expected {expected}")
+        return jac[None]
+
+    (result,) = _fit_stack(
+        stacked_curve, stacked_jacobian, data.x, data.y[None], data.weight[None], theta,
+        *_bound_arrays(bounds, theta.shape[1]), model=model, param_names=param_names,
+        units=units, max_iterations=max_iterations)
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
+def _non_finite(what: str, theta) -> str:
+    return f"{what} returned non-finite values at parameters {list(theta)}"
+
+
+def _solve(system, rhs):
+    """np.linalg.solve of each problem's system; a singular one gets a NaN solution instead."""
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for b, (matrix, vector) in enumerate(zip(system, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[b] = np.linalg.solve(matrix, vector)
+        return out
+
+
+def _inverse(normal):
+    """np.linalg.inv of each normal matrix, np.linalg.pinv where one is singular."""
+    try:
+        return np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(normal)
+        for b, matrix in enumerate(normal):
+            try:
+                out[b] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                out[b] = np.linalg.pinv(matrix)
+        return out
+
+
+def _fit_stack(curve, jacobian, x, y, weight, initial, lo, hi, *, model="custom",
+               param_names=None, units=None, max_iterations=200):
+    """Fit B independent problems of one model at once: ``fit_curve``'s iteration.
+
+    ``y`` and ``weight`` have shape (B, N) and ``initial`` (B, P); ``lo`` and
+    ``hi`` broadcast to (B, P).  ``curve(x, theta)`` returns the (B, N) model
+    and ``jacobian(x, theta)`` its (B, N, P) derivative, for theta of shape
+    (B, P); ``x`` is handed to them as given.  The model, the Jacobian, the
+    normal equations and the damped solves are evaluated for the whole stack
+    at once, and each problem keeps its own state: its damping, which trial
+    steps it accepts, its cost history, iteration count, stop reason and
+    final gradient norm.  A problem that has stopped is frozen: its rows of
+    each stacked evaluation are ignored.  Every row's arithmetic is that of
+    a fit of the row alone, so a problem's result does not depend on its
+    neighbours, bit for bit.
+
+    Returns one entry per problem, in order: its FitResult, or the FitError
+    that ``fit_curve`` raises for it (a non-finite initial guess, too few
+    points, a non-finite model or Jacobian); the other problems run on.  A
+    failed problem's rows of later evaluations are replaced by zeros.
+    """
+    theta = np.asarray(initial, dtype=float)
+    stack, size = theta.shape
+    points = y.shape[1]
     if param_names is None:
-        param_names = tuple(f"p{i}" for i in range(theta.size))
-    units = dict(units or {})
-
-    sqrt_w = np.sqrt(w)
-
-    lo = np.full(theta.size, -np.inf)
-    hi = np.full(theta.size, np.inf)
-    if bounds is not None:
-        for j, pair in enumerate(bounds):
-            if pair is None:
-                continue
-            if pair[0] is not None:
-                lo[j] = pair[0]
-            if pair[1] is not None:
-                hi[j] = pair[1]
+        param_names = tuple(f"p{i}" for i in range(size))
+    errors = [None if ok and points >= size else FitError(
+        f"initial guess must be finite, got {list(theta[b])}" if not ok
+        else f"{points} data points cannot constrain {size} parameters")
+        for b, ok in enumerate(np.isfinite(theta).all(axis=-1).tolist())]
+    if all(errors):
+        return errors
+    failed = None  # the rows of the problems that failed; None while none has
+    if any(errors):
+        failed = np.array([error is not None for error in errors])
+        theta = np.where(failed[:, None], 0.0, theta)
     theta = np.clip(theta, lo, hi)
+    sqrt_w = np.sqrt(weight)
+    column_w = sqrt_w[..., None]
+
+    def fail(bad, what, at):
+        nonlocal failed
+        for b in np.flatnonzero(bad):
+            errors[b] = errors[b] or FitError(_non_finite(what, at[b]))
+        failed = bad if failed is None else failed | bad
 
     def cost_and_residuals(th):
-        model_y = _finite_or_raise(np.asarray(curve(x, th), dtype=float), th, "model")
+        model_y = curve(x, th)
+        if failed is not None:
+            model_y = np.where(failed[:, None], y, model_y)
         r = y - model_y
-        return float(np.sum(w * r * r)), r
+        cost = np.sum(weight * r * r, axis=-1)
+        costs = cost.tolist()
+        # A finite cost needs a finite model; a model may also be finite and overflow the cost.
+        if not all(map(math.isfinite, costs)):
+            bad = ~np.all(np.isfinite(model_y), axis=-1)
+            if bad.any():
+                fail(bad, "model", th)
+                r = np.where(bad[:, None], 0.0, r)
+                cost = np.where(bad, 0.0, cost)
+                costs = cost.tolist()
+        return cost, costs, r
 
     def weighted_jacobian(th):
-        jac = _finite_or_raise(np.asarray(jacobian(x, th), dtype=float), th, "model Jacobian")
-        if jac.shape != (x.size, th.size):
-            raise FitError(f"model Jacobian has shape {jac.shape}, "
-                           f"expected {(x.size, th.size)}")
-        return jac * sqrt_w[:, None]
+        jac = jacobian(x, th)
+        if failed is not None:
+            jac = np.where(failed[:, None, None], 0.0, jac)
+        if not np.isfinite(jac).all():
+            bad = ~np.all(np.isfinite(jac), axis=(-2, -1))
+            fail(bad, "model Jacobian", th)
+            jac = np.where(bad[:, None, None], 0.0, jac)
+        design = jac * column_w
+        return design, design.transpose(0, 2, 1)
 
-    cost, residuals = cost_and_residuals(theta)
-    history = [cost]
-    damping = 0.0
-    converged = False
-    stop_reason = "max_iterations"
-    gradient_norm = math.inf
-    iterations = 0
+    def gradient_and_norms(design_t, residuals):
+        gradient = np.matmul(design_t, (sqrt_w * residuals)[..., None])
+        squares = np.matmul(gradient.transpose(0, 2, 1), gradient).ravel().tolist()
+        return gradient, [math.sqrt(s) for s in squares]
 
-    for iterations in range(1, max_iterations + 1):
-        design = weighted_jacobian(theta)
-        gradient = design.T @ (sqrt_w * residuals)
-        gradient_norm = float(np.linalg.norm(gradient))
-        if gradient_norm < _GRAD_TOL:
-            converged, stop_reason = True, "gradient"
+    cost, costs, residuals = cost_and_residuals(theta)
+    history = [[c] for c in costs]
+    damping = np.zeros(stack)
+    reasons = [None] * stack
+    iterations = [max(max_iterations, 0)] * stack
+    running = [b for b in range(stack) if errors[b] is None]
+    ridge = np.zeros((stack, size, size))
+    diagonal = ridge.reshape(stack, -1)[:, ::size + 1]  # a view: writes set ridge's diagonal
+
+    for iteration in range(1, max_iterations + 1):
+        design, design_t = weighted_jacobian(theta)
+        gradient, norms = gradient_and_norms(design_t, residuals)
+        if failed is not None:
+            running = [b for b in running if errors[b] is None]
+        for b in running:
+            if norms[b] < _GRAD_TOL:
+                reasons[b], iterations[b] = "gradient", iteration
+        running = [b for b in running if reasons[b] is None]
+        if not running:
             break
 
-        normal = design.T @ design
-        scale = np.diag(normal).copy()
-        ridge = np.diag(scale + 1e-12 * max(scale.max(), 1.0))
-        accepted = False
+        normal = np.matmul(design_t, design)
+        scale = np.diagonal(normal, axis1=-2, axis2=-1)
+        diagonal[...] = scale + 1e-12 * np.maximum(scale.max(axis=-1, keepdims=True), 1.0)
+        before = costs
+        searching, accepted = running, []
         while True:
-            try:
-                step = np.linalg.solve(normal + damping * ridge, gradient)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
+            system = normal + damping[:, None, None] * ridge
+            if len(searching) < stack:  # a row not searching may be singular: it solves 1 x = g
+                system[[b for b in range(stack) if b not in searching]] = np.eye(size)
+            step = _solve(system, gradient)[..., 0]
+            finite = np.isfinite(step).all(axis=-1).tolist()
+            moved = [b for b in searching if finite[b]]  # the rows that try a step
+            take = []
+            if moved:
                 trial = np.clip(theta + step, lo, hi)
-                trial_cost, trial_residuals = cost_and_residuals(trial)
-                accepted = trial_cost <= cost
-            if accepted:
+                if len(moved) < stack:  # every other row is evaluated where it stands
+                    idle = [b for b in range(stack) if b not in moved]
+                    trial[idle] = theta[idle]
+                trial_cost, trial_costs, trial_residuals = cost_and_residuals(trial)
+                take = [b for b in moved if errors[b] is None and trial_costs[b] <= before[b]]
+                if len(take) == len(moved):  # no row keeps a rejected or failed trial
+                    theta, cost, costs, residuals = trial, trial_cost, trial_costs, trial_residuals
+                elif take:
+                    theta[take], cost[take], residuals[take] = (
+                        trial[take], trial_cost[take], trial_residuals[take])
+                    costs = cost.tolist()
+                accepted += take
+            if len(take) < len(searching):
+                searching = [b for b in searching if b not in take and errors[b] is None
+                             and not damping[b] > 1e8]  # else no usable step: best-so-far
+            else:
+                searching = []
+            if not searching:
                 break
-            if damping > 1e8:
-                break  # no usable step in this direction; stop at best-so-far
-            damping = max(damping * 10.0, 1e-4)
+            for b in searching:
+                damping[b] = max(damping[b] * 10.0, 1e-4)
 
-        if not accepted:
-            stop_reason = "no_step"
+        for b in running:
+            if b not in accepted and errors[b] is None:
+                reasons[b], iterations[b] = "no_step", iteration
+        running = []
+        for b in accepted:
+            relative_drop = (before[b] - costs[b]) / max(before[b], 1e-300)
+            history[b].append(costs[b])
+            damping[b] = 0.0 if damping[b] < 1e-7 else damping[b] / 10.0
+            if relative_drop < _COST_TOL:
+                reasons[b], iterations[b] = "cost", iteration
+            else:
+                running.append(b)
+        if not running:
             break
-        relative_drop = (cost - trial_cost) / max(cost, 1e-300)
-        theta, cost, residuals = trial, trial_cost, trial_residuals
-        history.append(cost)
-        damping = 0.0 if damping < 1e-7 else damping / 10.0
-        if relative_drop < _COST_TOL:
-            converged, stop_reason = True, "cost"
-            break
 
-    design = weighted_jacobian(theta)
-    gradient_norm = float(np.linalg.norm(design.T @ (sqrt_w * residuals)))
-    dof = max(x.size - theta.size, 1)
-    residual_variance = cost / dof
-    try:
-        covariance = np.linalg.inv(design.T @ design) * residual_variance
-    except np.linalg.LinAlgError:
-        covariance = np.linalg.pinv(design.T @ design) * residual_variance
-    stderr = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-
-    return FitResult(
+    if all(errors):
+        return errors
+    design, design_t = weighted_jacobian(theta)
+    _, norms = gradient_and_norms(design_t, residuals)
+    covariance = (_inverse(np.matmul(design_t, design))
+                  * (cost / max(points - size, 1))[:, None, None])
+    stderr = np.sqrt(np.clip(np.diagonal(covariance, axis1=-2, axis2=-1), 0.0, None))
+    return [errors[b] or FitResult(
         model=model,
-        params=dict(zip(param_names, map(float, theta))),
-        errors=dict(zip(param_names, map(float, stderr))),
-        units=units,
-        rss=cost,
-        iterations=iterations,
-        converged=converged,
-        n_points=x.size,
-        gradient_norm=gradient_norm,
-        stop_reason=stop_reason,
-        cost_history=history,
-    )
+        params=dict(zip(param_names, map(float, theta[b]))),
+        errors=dict(zip(param_names, map(float, stderr[b]))),
+        units=dict(units or {}),
+        rss=costs[b],
+        iterations=iterations[b],
+        converged=reasons[b] in ("gradient", "cost"),
+        n_points=points,
+        gradient_norm=norms[b],
+        stop_reason=reasons[b] or "max_iterations",
+        cost_history=history[b],
+    ) for b in range(stack)]
 
 
 _LATTICE_TOL = 1e-9  # largest |(x - x0)/h - k| accepted as on the lattice
@@ -459,6 +600,69 @@ def fit_t1(data: FitData) -> FitResult:
     )
 
 
+_FRINGE_UNITS = {"visibility": "", "delta_prime": "rad/s", "phase": "rad", "t2_star": "s"}
+
+
+def _fringe_problem(x, y, n: int, tau, t2_star, delta0):
+    """The fringe fit of one fringe or of a stack: start values, bounds, curve and Jacobian.
+
+    ``x`` and ``y`` are one fringe's (N,) arrays, with ``tau`` and ``delta0``
+    (the start frequency) numbers, or a stack's (B, N) arrays, with ``tau`` and
+    ``delta0`` of shape (B,).  The visibility starts at the peak-to-peak of the
+    fractions and the phase at 0, or at pi where the data anti-correlate with
+    the phase-0 start (the flipped branch).  A held T2* fixes the envelope at
+    the data's times, computed here once; ``t2_star=None`` co-fits it, for one
+    fringe only.  The curve and Jacobian take theta of shape (P,) or (B, P)
+    and broadcast each parameter theta[..., j] over its row.
+
+    Returns ``(initial, bounds, curve, jacobian, param_names)``.
+    """
+    co_fit = t2_star is None
+    tau = np.asarray(tau, dtype=float)
+    offset = 2 * n * (tau[:, None] if tau.ndim else tau)
+    visibility0 = np.minimum(np.maximum(y.max(axis=-1) - y.min(axis=-1), 0.05), 1.0)
+    columns = [visibility0, delta0, np.zeros_like(visibility0)]
+    names = ("visibility", "delta_prime", "phase")
+    bounds = [(0.0, 1.5), (0.0, None), None]
+    if co_fit:
+        columns.append((x.max(axis=-1) - x.min(axis=-1)) / 2)
+        names += ("t2_star",)
+        bounds.append((1e-9, None))
+    initial = np.array(columns, dtype=float).T
+    envelope = None if co_fit else _envelope(x - offset, t2_star, n)
+
+    def parameters(theta):  # numbers for one fringe, (B, 1) columns for a stack
+        values = theta if theta.ndim == 1 else theta.T[..., None]
+        return (*values[:3], values[3] if co_fit else t2_star)
+
+    def curve(t, theta):
+        return _readout(_fringe(t - offset, *parameters(theta), n, envelope), False)
+
+    def jacobian(t, theta):
+        # the readout (1 - w)/2 scales every derivative of w by -1/2
+        return -0.5 * _fringe_jacobian(t - offset, *parameters(theta), n, co_fit, envelope)
+
+    start = curve(x, initial)
+    centered = y - y.mean(axis=-1, keepdims=True)
+    start = start - start.mean(axis=-1, keepdims=True)
+    overlap = np.matmul(centered[..., None, :], start[..., :, None])[..., 0, 0]
+    initial[..., 2] = np.where(overlap < 0, math.pi, 0.0)
+    return initial, bounds, curve, jacobian, names
+
+
+def _fringe_model(n: int) -> str:
+    return {0: "ramsey", 1: "echo_fringe"}.get(n, "cpmg_fringe")
+
+
+def _held(result: FitResult, t2_star) -> FitResult:
+    """Report a held T2* among the fringe fit's parameters, with error 0."""
+    if t2_star is not None:
+        result.params["t2_star"] = float(t2_star)
+        result.errors["t2_star"] = 0.0
+        result.units["t2_star"] = "s (held fixed)"
+    return result
+
+
 def fit_fringe(
     data: FitData,
     n: int,
@@ -480,49 +684,39 @@ def fit_fringe(
     t2_star : float or None
         Fixed envelope 1/e time, or None to co-fit it.
     """
-    x, y = data.x, data.y
-    visibility0 = min(1.0, max(0.05, float(np.ptp(y))))
-    delta0 = dominant_frequency(x, y)
-    theta0 = [visibility0, delta0, 0.0]
-    names = ["visibility", "delta_prime", "phase"]
-    bounds = [(0.0, 1.5), (0.0, None), None]
-    if t2_star is None:
-        span = float(np.max(x) - np.min(x))
-        theta0.append(span / 2)
-        names.append("t2_star")
-        bounds.append((1e-9, None))
-    offset = 2 * n * tau
-    # A held T2* fixes the envelope at the data's times: computed once, for every call.
-    envelope = None if t2_star is None else _envelope(x - offset, t2_star, n)
+    initial, bounds, curve, jacobian, names = _fringe_problem(
+        data.x, data.y, n, tau, t2_star, dominant_frequency(data.x, data.y))
+    result = fit_curve(curve, data, initial, bounds=bounds, jacobian=jacobian,
+                       model=_fringe_model(n), param_names=names, units=_FRINGE_UNITS)
+    return _held(result, t2_star)
 
-    def curve(t, theta):
-        scale = theta[3] if t2_star is None else t2_star
-        return _readout(_fringe(t - offset, *theta[:3], scale, n, envelope), False)
 
-    def jacobian(t, theta):
-        scale = theta[3] if t2_star is None else t2_star
-        # the readout (1 - w)/2 scales every derivative of w by -1/2
-        return -0.5 * _fringe_jacobian(t - offset, *theta[:3], scale, n, t2_star is None, envelope)
+def _fit_fringes(fringes, n: int, taus, t2_star: float) -> list:
+    """``fit_fringe`` of each fringe, T2* held, in one ``_fit_stack`` call.
 
-    start = curve(x, theta0)
-    if np.dot(y - np.mean(y), start - np.mean(start)) < 0:
-        theta0[2] = math.pi  # data anti-correlate with the phase-0 start: the flipped branch
-
-    result = fit_curve(
-        curve,
-        data,
-        theta0,
-        bounds=bounds,
-        jacobian=jacobian,
-        model={0: "ramsey", 1: "echo_fringe"}.get(n, "cpmg_fringe"),
-        param_names=tuple(names),
-        units={"visibility": "", "delta_prime": "rad/s", "phase": "rad", "t2_star": "s"},
-    )
-    if t2_star is not None:
-        result.params["t2_star"] = float(t2_star)
-        result.errors["t2_star"] = 0.0
-        result.units["t2_star"] = "s (held fixed)"
-    return result
+    ``fringes`` are FitData of one length, ``taus`` their pulse spacings.  Each
+    start frequency is ``dominant_frequency``'s, found per fringe.  Returns
+    one FitResult per fringe, each equal to ``fit_fringe``'s bit for bit, or
+    the FitError that ``fit_fringe`` raises for it; the others run on.
+    """
+    results, rows, delta0 = [None] * len(fringes), [], []
+    for i, data in enumerate(fringes):
+        try:
+            delta0.append(dominant_frequency(data.x, data.y))
+            rows.append(i)
+        except FitError as exc:
+            results[i] = exc
+    if rows:
+        x, y, weight = (np.stack([getattr(fringes[i], name) for i in rows])
+                        for name in ("x", "y", "weight"))
+        initial, bounds, curve, jacobian, names = _fringe_problem(
+            x, y, n, np.asarray(taus, dtype=float)[rows], t2_star, delta0)
+        stacked = _fit_stack(curve, jacobian, x, y, weight, initial,
+                             *_bound_arrays(bounds, len(names)), model=_fringe_model(n),
+                             param_names=names, units=_FRINGE_UNITS)
+        for i, result in zip(rows, stacked):
+            results[i] = result if isinstance(result, FitError) else _held(result, t2_star)
+    return results
 
 
 def fit_visibility_decay(data: FitData, n: int) -> FitResult:

@@ -54,7 +54,7 @@ import numpy as np
 from .analytic import _gaussian_factor, _readout
 from .bloch import SequenceSpec, accumulated_phase, jump_weights
 from .errors import DataFormatError, DomainError, FitError
-from .fit import fit_fringe, points_from_counts
+from .fit import _fit_fringes, fit_fringe, points_from_counts  # noqa: F401 (fit_fringe re-exported)
 from .noise import (
     T2_STAR_PER_ETA,
     HomogeneousNoiseSpec,
@@ -428,18 +428,19 @@ def scan_visibility(
     """Two-stage visibility extraction over a grid of pulse spacings.
 
     For each tau, the readout pulse time is scanned symmetrically around the
-    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods), a
-    dataset is simulated, and its fitted visibility recorded.  Fit failures
-    are reported per point (``ok = False``), never raised.
+    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods) and a
+    dataset is simulated, from its own stream, in tau order.  All fringes are
+    then fitted in one stacked call, each with the result ``fit_fringe`` gives
+    it alone, and their visibilities recorded.  Fit failures are reported per
+    point (``ok = False``), never raised.
     """
     seq = config.sequence
     if seq.n < 1:
         raise DomainError("visibility scans need at least one refocusing pulse")
     t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
     taus = [float(tau) for tau in tau_grid]
-    points = []
+    fringes = []
     for j, (tau, grid) in enumerate(zip(taus, _fringe_grids(config, taus, points_per_fringe))):
-        echo_time = 2 * seq.n * tau
         sub_seed = int(np.random.SeedSequence(
             entropy=config.rng_seed, spawn_key=(2, j)
         ).generate_state(1)[0])
@@ -453,18 +454,21 @@ def scan_visibility(
         if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
             dataset = FringeDataset(dataset.times, dataset.trials - dataset.successes,
                                     dataset.trials)
-        try:
-            fit = fit_fringe(dataset.points(), n=seq.n, tau=tau, t2_star=t2_star)
+        fringes.append(dataset.points())
+    points = []
+    for tau, fit in zip(taus, _fit_fringes(fringes, seq.n, taus, t2_star)):
+        echo_time = 2 * seq.n * tau
+        if isinstance(fit, FitError):
+            points.append(VisibilityPoint(
+                total_time=echo_time, visibility=math.nan, error=math.nan,
+                ok=False, message=str(fit),
+            ))
+        else:
             points.append(VisibilityPoint(
                 total_time=echo_time,
                 visibility=fit.params["visibility"],
                 error=fit.errors["visibility"],
                 ok=fit.converged,
                 message="" if fit.converged else f"fit stopped: {fit.stop_reason}",
-            ))
-        except FitError as exc:
-            points.append(VisibilityPoint(
-                total_time=echo_time, visibility=math.nan, error=math.nan,
-                ok=False, message=str(exc),
             ))
     return points

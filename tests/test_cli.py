@@ -1,11 +1,15 @@
+import contextlib
 import copy
 import csv
 import dataclasses
 import filecmp
 import hashlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,6 +542,48 @@ def test_sweep_checks_every_row_grid_before_the_first_scan(tmp_path, capsys, sig
     assert list(outdir.iterdir()) == []
 
 
+def test_sweep_negative_row_sigma_exits_2_naming_the_row_before_the_first_scan(tmp_path, capsys):
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}},
+            "6": {"sigma_sig": {"value": -27.6, "angular": True}}}
+    config = write_config(tmp_path / "cfg.json", sweep_doc(rows=rows))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: sweep.rows.6.sigma_sig: sigma_sig must be >= 0, got -27.6 rad/s" in err
+    assert list(outdir.iterdir()) == []
+
+
+REPEATED_KEY_CONFIG = (
+    '{"sequence": {"kind": "cpmg", "n": 1, "tau_s": 0.001,'
+    ' "delta": {"value": 1500.0, "angular": false}},'
+    ' "homogeneous": {"sigma_sig": {"value": 40.0, "angular": true}},'
+    ' "time_grid_s": [0.0021], %s}')
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-n"])
+@pytest.mark.parametrize("entries, key", [
+    # json alone would keep the second row of n = 1 (sigma 49.1) and the seed 8
+    ('"sweep": {"rows": {"1": {"sigma_sig": {"value": 27.6, "angular": true}},'
+     ' "1": {"sigma_sig": {"value": 49.1, "angular": true}}}}', "'1'"),
+    ('"rng_seed": 7, "rng_seed": 8', "'rng_seed'"),
+], ids=["row", "top-level"])
+def test_a_key_repeated_in_one_object_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                        command, entries, key):
+    import dephasim.cli as cli
+    monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
+    path = tmp_path / "cfg.json"
+    path.write_text(REPEATED_KEY_CONFIG % entries, encoding="utf-8")
+    outputs = (["--output", str(tmp_path / "run")] if command == "simulate"
+               else ["--n", "1", "--outdir", str(tmp_path)])
+    assert main([command, "--config", str(path), *outputs]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: key {key} appears more than once in one object" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    path.write_text(REPEATED_KEY_CONFIG % '"rng_seed": 8', encoding="utf-8")
+    assert _load_document(path)[0]["rng_seed"] == 8  # given once, the key loads
+
+
 @pytest.fixture(scope="module")
 def table_sweep(tmp_path_factory):
     root = tmp_path_factory.mktemp("table_sweep")
@@ -760,6 +806,80 @@ def test_any_config_value_is_rejected_by_name_or_parsed_finite(doc):
         assert all(math.isfinite(x) for x in _numbers(parsed))
         if parse is build_experiment:
             assert parsed.rng_seed >= 0
+
+
+def frequencies(values):
+    return st.builds(lambda value, angular: {"value": value, "angular": angular},
+                     values, st.booleans())
+
+
+def mostly(usual, *degenerate):
+    """``usual`` about seven times in eight, else one of the ``degenerate`` values."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(degenerate) if k == 7 else usual)
+
+
+#: Noise widths and detunings (rad/s or Hz), with zero, negative, subnormal and
+#: near-overflowing values among the usual ones.
+SIGMAS = mostly(st.floats(1.0, 200.0), 0.0, -27.6, 5e-310, 1e-300, 1e300)
+DETUNINGS = mostly(st.floats(100.0, 5000.0), 0.0, 1e-12, -1500.0, 1e300)
+
+
+@st.composite
+def sweep_configs(draw):
+    """A small sweep-n config (at most 3 pulse spacings of at most 9 points) and pulse numbers.
+
+    Most configs run; a degenerate value here and there gets them refused, and
+    flat fringes (contrast 0, one cycle), fringes of one or two points and
+    fits that stop without converging make fits fail.
+    """
+    n_list = draw(mostly(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+                         [0], [2, 2], [1, 7]))
+    n = draw(st.integers(1, 6))
+    doc = {
+        "sequence": {"kind": "spin_echo" if n == 1 and draw(st.booleans()) else "cpmg",
+                     "n": n, "tau_s": draw(mostly(st.floats(1e-4, 1e-2), 1e-9, 1.0)),
+                     "delta": draw(frequencies(DETUNINGS))},
+        "cycles_per_point": draw(mostly(st.integers(1, 200), 1)),
+        "noise_draws": draw(st.integers(1, 32)),
+        "rng_seed": draw(st.integers(0, 2**64)),
+        "contrast": draw(mostly(st.floats(0.05, 1.0), 0.0)),
+        "invert_fraction": draw(st.booleans()),
+        "zeeman_shift": draw(frequencies(st.sampled_from([0.0, 12.0, 1500.0]))),
+        "sweep": {"tau_points": draw(st.integers(1, 3)),
+                  "points_per_fringe": draw(st.integers(1, 9)),
+                  "span_t2_prime": draw(mostly(st.just([0.15, 1.1]), [1e-300, 1e-290],
+                                               [2.0, 0.5], [1e-3, 1e3])),
+                  "rows": {str(row): {"sigma_sig": draw(frequencies(SIGMAS)),
+                                      "contrast": draw(mostly(st.just(0.6), 0.0))}
+                           for row in n_list if draw(st.booleans())}},
+    }
+    if draw(mostly(st.just(True), False)):
+        doc["homogeneous"] = ({"sigma_sig": draw(frequencies(SIGMAS))} if draw(st.booleans())
+                              else {"sigmas": [draw(frequencies(SIGMAS)) for _ in range(n)]})
+    if draw(st.booleans()):
+        doc["inhomogeneous"] = {"delta0": draw(frequencies(DETUNINGS)),
+                                draw(st.sampled_from(["t2_star_s", "eta_s"])):
+                                    draw(mostly(st.floats(1e-4, 1e-2), 1e-300, 1e300))}
+    return doc, n_list
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(sweep_configs())
+def test_sweep_n_on_any_config_exits_0_2_or_3_without_a_traceback(case):
+    # main returns the exit code of every refused config, value or failed fit;
+    # anything else would escape it as an exception and fail this test.
+    # A numpy RuntimeWarning (an envelope of T2* = 1e-300 s overflows to its limit
+    # 0) is printed, not raised, outside the test suite's warnings-as-errors.
+    doc, n_list = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        config = write_config(Path(tmp) / "cfg.json", doc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["sweep-n", "--config", config, "--n", ",".join(map(str, n_list)),
+                       "--outdir", tmp])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Optimizer behaviour, wrapper recovery at realistic statistics, calibration."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -873,3 +874,167 @@ def test_fit_curve_terminates_on_random_finite_data(model, data, n, tau, t2_star
         raise outcome
     assert outcome.stop_reason in STOP_REASONS
     assert outcome.converged == (outcome.stop_reason in {"gradient", "cost"})
+
+
+# ------------------------------------------------------------------ stacked fits
+
+
+def outcome(result):
+    """A fit's outcome for a bit-for-bit comparison: every field's repr, or the error's message."""
+    if isinstance(result, FitError):
+        return ("FitError", str(result))
+    return ("FitResult", repr(dataclasses.asdict(result)))
+
+
+def fit_fringe_alone(data, n, tau, t2_star):
+    try:
+        return fit_fringe(data, n=n, tau=tau, t2_star=t2_star)
+    except FitError as exc:
+        return exc
+
+
+@st.composite
+def fringe_stacks(draw):
+    """1-9 fringes of one length, pulse number and held T2*, around their echo times.
+
+    Each fringe has its own pulse spacing, visibility, phase and trials; some are
+    flat (every count equal), which leaves no frequency to start from, and some
+    have no visibility at a few trials, whose fits can run to the iteration cap.
+    """
+    n = draw(st.integers(0, 6))
+    points = draw(st.integers(3, 31))
+    t2_star = draw(st.sampled_from([math.inf, T2_STAR]))
+    carrier = 2 * math.pi * draw(st.floats(300.0, 3000.0))
+    fringes, taus = [], []
+    for _ in range(draw(st.integers(1, 9))):
+        tau = draw(st.floats(2e-4, 5e-3)) if n else 0.0
+        half = min(3 * math.pi / carrier, 0.95 * tau) if n else 3 * math.pi / carrier
+        t = 2 * n * tau + (half + 5e-5) * (n == 0) + np.linspace(-half, half, points)
+        trials = draw(st.sampled_from([1, 5, 100, 2000]))
+        if draw(st.integers(0, 4)) == 0:
+            successes = np.full(points, draw(st.integers(0, trials)))
+        else:
+            w = _fringe(t - 2 * n * tau, draw(st.sampled_from([0.0, 0.3, 0.9])), carrier,
+                        draw(st.floats(-math.pi, math.pi)), t2_star, n)
+            successes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).binomial(
+                trials, (1.0 - w) / 2.0)
+        fringes.append(points_from_counts(t, successes, trials))
+        taus.append(tau)
+    return n, taus, t2_star, fringes
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(fringe_stacks())
+def test_stacked_fringe_fits_equal_each_fringe_fit_alone(stack):
+    # One _fit_stack call over the stack gives each fringe what fit_fringe gives it:
+    # the same parameters, errors, rss, iterations, stop reason, cost history and
+    # gradient norm, bit for bit, or the same FitError message.
+    n, taus, t2_star, fringes = stack
+    stacked = fit_module._fit_fringes(fringes, n, taus, t2_star)
+    assert len(stacked) == len(fringes)
+    for data, tau, result in zip(fringes, taus, stacked):
+        assert outcome(result) == outcome(fit_fringe_alone(data, n, tau, t2_star))
+
+
+def decay(x, amplitude, rate):
+    return amplitude * np.exp(-rate * x)
+
+
+def decay_columns(x, amplitude, rate):
+    shape = np.exp(-rate * x)
+    return [shape, -amplitude * x * shape]
+
+
+def assert_each_row_fits_as_alone(stacked, curve_of_row, jacobian_of_row, x, y, weight,
+                                  initial, bounds, max_iterations=200):
+    """Every stacked outcome is fit_curve's on that row alone, bit for bit."""
+    for b, result in enumerate(stacked):
+        try:
+            alone = fit_curve(curve_of_row(b), FitData(x[b], y[b], weight[b]), initial[b],
+                              bounds, jacobian=jacobian_of_row(b),
+                              max_iterations=max_iterations)
+        except FitError as exc:
+            alone = exc
+        assert outcome(result) == outcome(alone)
+
+
+@pytest.mark.parametrize("max_iterations", [0, 2, 200])
+def test_stacked_problems_stop_and_fail_alone(max_iterations):
+    # Four problems in one stack: a noisy decay (it stops on the cost), exact data
+    # started at the optimum (gradient), one far from its optimum (it meets a low
+    # cap) and one whose model turns infinite on the way (FitError).  Each row's
+    # outcome is fit_curve's on that row alone, so the failure leaves its neighbours
+    # as they were.
+    rng = np.random.default_rng(71)
+    x = np.tile(np.linspace(0.0, 3.0, 25), (4, 1))
+    truth = np.array([[0.8, 1.3], [0.6, 0.7], [0.9, 2.0], [3.0, 1.0]])
+    y = decay(x, truth[:, :1], truth[:, 1:]) + rng.normal(0.0, 0.01, x.shape)
+    y[1] = decay(x[1], *truth[1])
+    weight = np.full(x.shape, 1e4)
+    initial = np.array([[0.5, 0.5], truth[1], [0.01, 9.0], [1.0, 1.0]])
+    bounds = [(0.0, None), (0.0, None)]
+
+    def infinite_past(limit, values, amplitude):
+        return np.where(amplitude > limit, np.inf, values)
+
+    def stacked_curve(xs, theta):  # the last row is infinite past amplitude 1.5
+        values = decay(xs, theta[:, :1], theta[:, 1:])
+        values[3] = infinite_past(1.5, values[3], theta[3, 0])
+        return values
+
+    def stacked_jacobian(xs, theta):
+        return np.stack(decay_columns(xs, theta[:, :1], theta[:, 1:]), axis=-1)
+
+    stacked = fit_module._fit_stack(stacked_curve, stacked_jacobian, x, y, weight, initial,
+                                    *fit_module._bound_arrays(bounds, 2),
+                                    max_iterations=max_iterations)
+    assert_each_row_fits_as_alone(
+        stacked,
+        lambda b: lambda t, th: infinite_past(1.5 if b == 3 else math.inf, decay(t, *th), th[0]),
+        lambda b: lambda t, th: np.column_stack(decay_columns(t, *th)),
+        x, y, weight, initial, bounds, max_iterations)
+    reasons = [r.stop_reason if isinstance(r, FitResult) else "FitError" for r in stacked]
+    if max_iterations == 200:
+        assert reasons == ["cost", "gradient", "cost", "FitError"]
+        assert "model returned non-finite values at parameters" in str(stacked[3])
+    if max_iterations == 2:
+        assert reasons[2] == "max_iterations"
+
+
+def test_stacked_problems_with_singular_or_overflowing_normal_matrices_run_alone():
+    # a + b is fitted as two parameters, so the undamped normal matrix is singular:
+    # the first solve of a well-scaled row fails and its damped retry succeeds.  In
+    # the row scaled by 1e160 the normal matrix overflows, every step is non-finite
+    # and the row stops with no step.  The stacked solve then fails for the whole
+    # stack, and each row is solved alone.
+    x = np.tile(np.linspace(0.05, 1.0, 20), (3, 1))
+    scale = np.array([1.0, 1e160, 1.0])
+    y = 0.5 * x
+    initial = np.array([[0.1, 0.2], [1e-170, 1e-170], [0.3, -0.1]])
+    weight = np.ones_like(x)
+    with np.errstate(all="ignore"):
+        stacked = fit_module._fit_stack(
+            lambda xs, th: scale[:, None] * (th[:, :1] + th[:, 1:]) * xs,
+            lambda xs, th: np.stack([scale[:, None] * xs] * 2, axis=-1),
+            x, y, weight, initial, *fit_module._bound_arrays(None, 2))
+        assert_each_row_fits_as_alone(
+            stacked, lambda b: lambda t, th: scale[b] * (th[0] + th[1]) * t,
+            lambda b: lambda t, th: np.column_stack([scale[b] * t] * 2),
+            x, y, weight, initial, None)
+    assert [r.stop_reason for r in stacked][1] == "no_step"
+    assert stacked[0].params["p0"] + stacked[0].params["p1"] == pytest.approx(0.5)
+
+
+def test_a_stack_reports_its_rows_that_cannot_start():
+    # A non-finite start and too few points are reported per row, as fit_curve raises them.
+    x = np.tile(np.linspace(0.0, 1.0, 4), (2, 1))
+    curve = lambda xs, theta: theta[:, :1] * xs + theta[:, 1:2] * xs**2 + theta[:, 2:]
+    jacobian = lambda xs, theta: np.stack([xs, xs**2, np.ones_like(xs)], axis=-1)
+    lo, hi = fit_module._bound_arrays(None, 3)
+    initial = np.array([[math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    stacked = fit_module._fit_stack(curve, jacobian, x, 2.0 * x, np.ones_like(x), initial, lo, hi)
+    assert str(stacked[0]).startswith("initial guess must be finite")
+    assert stacked[1].converged and stacked[1].params["p0"] == pytest.approx(2.0)
+    few = fit_module._fit_stack(curve, jacobian, x[:, :2], x[:, :2], np.ones((2, 2)),
+                                np.ones((2, 3)), lo, hi)
+    assert [str(r) for r in few] == ["2 data points cannot constrain 3 parameters"] * 2

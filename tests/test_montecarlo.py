@@ -22,12 +22,13 @@ from dephasim.analytic import (
     t2_prime,
 )
 from dephasim.bloch import SequenceSpec, accumulated_phase, jump_weights
-from dephasim.errors import DataFormatError, DomainError
+from dephasim.errors import DataFormatError, DomainError, FitError
 from dephasim.fit import fit_fringe, fit_visibility_decay, weighted_points
 from dephasim.montecarlo import (
     ExperimentConfig,
     FringeDataset,
     VisibilityPoint,
+    _fringe_grids,
     _mean_cos,
     binomial_dataset,
     ensemble_probability,
@@ -723,6 +724,53 @@ def test_scan_reports_fit_failures_per_point():
     assert len(points) == 2
     assert all(isinstance(p, VisibilityPoint) and not p.ok for p in points)
     assert all(math.isnan(p.visibility) and p.message for p in points)
+
+
+def scan_visibility_reference(config, tau_grid, points_per_fringe=31):
+    """The scan as a loop over its fringes: simulate one, fit it with fit_fringe, go on.
+
+    scan_visibility simulates every fringe first and fits them all in one stacked
+    call; this is the per-fringe loop it replaced, kept as its reference.
+    """
+    seq = config.sequence
+    t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
+    taus = [float(tau) for tau in tau_grid]
+    points = []
+    for j, (tau, grid) in enumerate(zip(taus, _fringe_grids(config, taus, points_per_fringe))):
+        sub_seed = int(np.random.SeedSequence(
+            entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0])
+        dataset = simulate_dataset(replace(config, sequence=replace(seq, tau=tau, t=None),
+                                           time_grid=tuple(grid), rng_seed=sub_seed))
+        if config.invert_fraction:
+            dataset = FringeDataset(dataset.times, dataset.trials - dataset.successes,
+                                    dataset.trials)
+        try:
+            fit = fit_fringe(dataset.points(), n=seq.n, tau=tau, t2_star=t2_star)
+            points.append(VisibilityPoint(
+                2 * seq.n * tau, fit.params["visibility"], fit.errors["visibility"],
+                fit.converged, "" if fit.converged else f"fit stopped: {fit.stop_reason}"))
+        except FitError as exc:
+            points.append(VisibilityPoint(2 * seq.n * tau, math.nan, math.nan, False, str(exc)))
+    return points
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 6), sigma_sig=st.floats(5.0, 80.0),
+       contrast=st.sampled_from([0.0, 0.3, 0.7, 1.0]), cycles=st.sampled_from([1, 5, 100]),
+       points_per_fringe=st.sampled_from([2, 3, 9, 31]), tau_points=st.integers(1, 9),
+       light_shift=st.booleans(), invert=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scan_equals_the_per_fringe_loop(n, sigma_sig, contrast, cycles, points_per_fringe,
+                                         tau_points, light_shift, invert, seed):
+    # Every point, message included, bit for bit; contrast 0 gives flat fringes (no
+    # frequency to start from), 2 points too few for three parameters, and at one
+    # cycle some fits run to the iteration cap.
+    config = replace(pipeline_config(n, sigma_sig, contrast, seed), cycles_per_point=cycles,
+                     invert_fraction=invert, noise_draws=64,
+                     inhomogeneous=LightShiftDistribution(delta0=0.0, eta=ETA)
+                     if light_shift else None)
+    taus = t2_prime(n, sigma_sig) * np.linspace(0.15, 1.1, tau_points) / (2 * n)
+    points = scan_visibility(config, taus, points_per_fringe)
+    assert repr(points) == repr(scan_visibility_reference(config, taus, points_per_fringe))
 
 
 def test_scan_preconditions():
