@@ -26,7 +26,9 @@ ensemble average takes the jump term in closed form, so nothing here draws
 it.  The tests check both against the explicit chronological product of 3x3
 pulse and precession matrices.  ``_check_timing`` is the one place that
 enforces the timing rule: n is an integer >= 0, tau > 0 when n >= 1, and
-t >= (2n-1)*tau (t >= 0 for Ramsey).
+t >= (2n-1)*tau (t >= 0 for Ramsey).  Sequences that differ only in tau are
+evaluated together with tau a (B, 1) column against a (B, N) stack of
+readout times; the rule then holds for every row.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class SequenceSpec:
         Number of half-turn refocusing pulses.
     tau : float
         Time of the first half-turn pulse in seconds; pulse i sits at
-        (2i - 1)*tau.  Ignored for Ramsey sequences.
+        (2i - 1)*tau.  Ignored for Ramsey sequences.  A (B, 1) column of
+        spacings describes B sequences that differ only in tau, evaluated
+        together on a (B, N) stack of readout times (a visibility scan).
     t : float or None
         Readout time (final quarter-turn pulse) in seconds.  May be left None
         when the readout time is supplied per point, e.g. by a time grid.
@@ -96,53 +100,70 @@ class SequenceSpec:
         return 2 * self.n * self.tau
 
 
-def _check_timing(tau: float, n: int, t=None):
-    """Enforce the timing rule; return t as a float array (None when t is None)."""
+def _check_timing(tau, n: int, t=None):
+    """Enforce the timing rule; return t as a float array (None when t is None).
+
+    ``tau`` is a number, or a (B, 1) column with one spacing per row of a
+    (B, N) stack of readout times: the rule then holds row by row, and the
+    message names the first row that breaks it.
+    """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"pulse count n must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"pulse count n must be >= 0, got {n}")
-    if n >= 1 and not tau > 0:
+    column = isinstance(tau, np.ndarray)
+    if n >= 1 and not (np.all(tau > 0) if column else tau > 0):
+        if column:
+            tau = tau.flat[int(np.argmin(tau > 0))]
         raise DomainError(f"tau must be positive for n >= 1, got {tau}")
     if t is None:
         return None
     t = np.asarray(t, dtype=float)
     earliest = (2 * n - 1) * tau if n >= 1 else 0.0
-    if (t < earliest).any():
+    early = t < earliest
+    if early.any():
+        shown = t
+        if np.ndim(earliest):  # a column of spacings: the first row read out too early
+            row = int(np.argmax(early.any(axis=-1)))
+            earliest, shown = earliest[row, 0], np.broadcast_to(t, early.shape)[row]
         raise DomainError(
-            f"readout time violates t >= (2n-1)*tau = {earliest} (minimum t given: {t.min()}; "
-            "readout before the last refocusing pulse)"
+            f"readout time violates t >= (2n-1)*tau = {earliest} (minimum t given: "
+            f"{shown.min()}; readout before the last refocusing pulse)"
         )
     return t
 
 
-def jump_weights(tau: float, n: int, t) -> np.ndarray:
+def jump_weights(tau, n: int, t) -> np.ndarray:
     """Weights c_i with which the jump across half turn i enters the phase.
 
     c_i = (-1)**(n-i) * tau for i < n and c_n = t - (2n-1)*tau, the time from the
     last half turn to the readout, along a last axis: shape t.shape + (n,), empty for n = 0.
+    ``tau`` may be a (B, 1) column of spacings, one per row of a (B, N) t.
     """
     t = np.asarray(t, dtype=float)
-    c = np.tile(tau * (-1.0) ** (n - np.arange(1, n + 1)), t.shape + (1,))
+    signs = (-1.0) ** (n - np.arange(1, n + 1))
+    c = np.empty(np.broadcast_shapes(np.shape(tau), t.shape) + (n,))
+    c[...] = np.multiply.outer(tau, signs)
     if n >= 1:
         c[..., -1] = t - (2 * n - 1) * tau
     return c
 
 
-def accumulated_phase(delta_eff, tau: float, n: int, t):
+def accumulated_phase(delta_eff, tau, n: int, t):
     """Phase Phi = delta_eff*x at readout time t, x = t - 2*n*tau.
 
     The fringe is w = (-1)**n * cos(Phi); for n = 0 the phase is
     delta_eff*t.  Jumps across the half turns add sum_i c_i*jump_i with
     c = ``jump_weights(tau, n, t)``.  ``delta_eff`` and ``t`` broadcast
     against each other, so a batch of draws or a grid of readout times (all
-    satisfying t >= (2n-1)*tau) evaluates in one call.
+    satisfying t >= (2n-1)*tau) evaluates in one call; with ``tau`` a (B, 1)
+    column, a (B, N) stack of grids, one pulse spacing per row.
 
     Parameters
     ----------
     delta_eff : float or array
         Base detuning delta, rad/s.
-    tau : float
+    tau : float or (B, 1) array
     n : int
         Number of half-turn pulses (>= 0).
     t : float or array

@@ -435,7 +435,9 @@ def cmd_sweep_n(args) -> int:
     for n, config, taus in plan:
         points = scan_visibility(config, taus, points_per_fringe=sweep["points_per_fringe"])
         write_visibility_csv(f"{args.outdir}/visibility_n{n}.csv", points)
-        usable = [p for p in points if p.ok]
+        # a point is usable only as fit --model visibility would read it back from the table
+        usable = [p for p in points if p.ok and _visibility_row_error(
+            (p.total_time, p.visibility, p.error), None) is None]
         if len(usable) < 2:
             print(f"n = {n}: fits failed on {len(points) - len(usable)} of "
                   f"{len(points)} points; skipping summary row", file=sys.stderr)

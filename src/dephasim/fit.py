@@ -13,7 +13,11 @@ own damping, accepted steps, stop reason and history, and a problem whose
 model goes non-finite fails alone.  Each problem's arithmetic is that of its
 fit alone, bit for bit.  ``fit_curve`` is a stack of one; a visibility scan
 fits all its fringes in one stack (``_fit_fringes``), which gives each
-fringe exactly the result ``fit_fringe`` gives it.
+fringe exactly the result ``fit_fringe`` gives it.  The start frequencies
+are found the same way: the periodogram is written once, for a stack of
+records (``_frequencies``), whose rows on a time lattice are grouped by
+lattice length and grid size, each group one set of FFTs along the last
+axis; ``dominant_frequency`` is a stack of one.
 
 Every fit takes one ``FitData`` (arrays x, y and weight = 1/variance, the
 weights checked once, when it is built).  Wrappers cover Rabi oscillation,
@@ -86,12 +90,21 @@ class FitData:
         if x.ndim != 1 or not x.shape == y.shape == weight.shape:
             raise FitError(f"x, y and weight must be 1-D arrays of one length, "
                            f"got shapes {x.shape}, {y.shape} and {weight.shape}")
-        bad = ~((weight > 0) & (weight < math.inf))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise FitError(f"weight must be positive and finite, got {weight[i]} at point {i}")
+        _check_weights(weight)
         for name, values in (("x", x), ("y", y), ("weight", weight)):
             object.__setattr__(self, name, values)
+
+
+def _check_weights(weight: np.ndarray) -> None:
+    """Every weight, of one record or of each row of a (B, N) stack, positive and finite.
+
+    A FitError names the first point that is not (and its row, in a stack).
+    """
+    bad = ~((weight > 0) & (weight < math.inf))
+    if np.any(bad):
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = f"point {index[-1]}" + (f" of row {index[0]}" if bad.ndim == 2 else "")
+        raise FitError(f"weight must be positive and finite, got {weight[index]} at {where}")
 
 
 _WEIGHT_FLOOR = 1e-4  # smallest p*(1-p) taken as the binomial variance of one trial
@@ -471,50 +484,64 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5, 9, 15))
 
 
-def _lattice_power(x: np.ndarray, centered: np.ndarray, omegas: np.ndarray):
-    """|sum_i centered_i e^{i omega x_i}|**2 on a uniform omega grid by chirp-z.
+def _lattice(x: np.ndarray, spacing: np.ndarray):
+    """Each row of the (B, N) stack x on the lattice of its smallest spacing.
 
-    Each sample is mapped to k = rint((x - x0)/h) on the lattice of the
-    smallest spacing h; the lattice step is then measured over the whole
-    span, so rounding in the stored times does not accumulate with k.  The
-    values are summed per lattice index (duplicates and gaps are exact), and
-    Bluestein's identity jk = (j**2 + k**2 - (j - k)**2)/2 turns the sum into
-    one convolution: three FFTs of length ``_fft_length(K + n_grid - 1)``.
-    Returns None when the samples are off the lattice by more than
-    _LATTICE_TOL, where the phase error would exceed pi * _LATTICE_TOL, or
-    when the lattice is longer than _LATTICE_MULTIPLE times the number of
-    samples.
+    Each sample is mapped to k = rint((x - x0)/h), h = ``spacing`` of its row;
+    the lattice step is then measured over the whole span, so rounding in the
+    stored times does not accumulate with k.  Returns the indices k (B, N),
+    the steps (B,) and each row's lattice length K, or 0 for a row off its
+    lattice: more than _LATTICE_TOL from it, where the phase error would
+    exceed pi * _LATTICE_TOL, or longer than _LATTICE_MULTIPLE times the
+    number of samples.
     """
-    x0 = float(np.min(x))
-    offsets = x - x0
-    h = float(np.min(np.diff(np.unique(x))))
-    index = np.rint(offsets / h)
-    k_max = float(np.max(index))
-    if k_max + 1 > _LATTICE_MULTIPLE * x.size:
-        return None
-    step = float(np.max(offsets)) / k_max
-    if np.max(np.abs(offsets / step - index)) > _LATTICE_TOL:
-        return None
-    k_len = int(k_max) + 1
-    summed = np.bincount(index.astype(np.int64), weights=centered, minlength=k_len)
+    offsets = x - x.min(axis=-1, keepdims=True)
+    index = np.rint(offsets / spacing[:, None])
+    k_max = index.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows too long are off anyway
+        step = offsets.max(axis=-1) / k_max
+        error = np.abs(offsets / step[:, None] - index).max(axis=-1)
+    on = (k_max + 1 <= _LATTICE_MULTIPLE * x.shape[-1]) & ~(error > _LATTICE_TOL)
+    return index, step, np.where(on, k_max + 1, 0).astype(np.int64)
 
-    n_grid = omegas.size
-    theta0 = float(omegas[0]) * step
-    dtheta = float(omegas[-1] - omegas[0]) / max(n_grid - 1, 1) * step
+
+def _chirp_z_power(index, step, centered, omegas, k_len: int) -> np.ndarray:
+    """|sum_i centered_i e^{i omega x_i}|**2 of each row of a stack, on its uniform omega grid.
+
+    The rows share the lattice length ``k_len`` and the grid size; ``index``
+    and ``step`` are ``_lattice``'s.  The values are summed per lattice index
+    (duplicates and gaps are exact), and Bluestein's identity
+    jk = (j**2 + k**2 - (j - k)**2)/2 turns each row's sum into one
+    convolution: three FFTs of length ``_fft_length(K + n_grid - 1)`` along
+    the last axis, for the whole stack at once.
+    """
+    rows, n_grid = omegas.shape
+    shifted = index.astype(np.int64) + k_len * np.arange(rows)[:, None]
+    summed = np.bincount(shifted.ravel(), weights=centered.ravel(),
+                         minlength=rows * k_len).reshape(rows, k_len)
+    theta0 = (omegas[:, 0] * step)[:, None]
+    dtheta = ((omegas[:, -1] - omegas[:, 0]) / max(n_grid - 1, 1) * step)[:, None]
     length = _fft_length(k_len + n_grid - 1)
     k = np.arange(k_len, dtype=float)
     chirped = summed * np.exp(1j * (theta0 * k + 0.5 * dtheta * k * k))
     m = np.arange(max(k_len, n_grid), dtype=float)
-    chirp = np.exp(-0.5j * dtheta * m * m)
-    kernel = np.zeros(length, dtype=complex)
-    kernel[:n_grid] = chirp[:n_grid]
-    kernel[length - k_len + 1:] = chirp[1:k_len][::-1]
-    amplitude = np.fft.ifft(np.fft.fft(chirped, length) * np.fft.fft(kernel))[:n_grid]
+    chirp = -0.5j * dtheta * m
+    chirp *= m
+    np.exp(chirp, out=chirp)
+    kernel = np.zeros((rows, length), dtype=complex)
+    kernel[:, :n_grid] = chirp[:, :n_grid]
+    kernel[:, length - k_len + 1:] = chirp[:, 1:k_len][:, ::-1]
+    # Freed before, and written in place after, the FFTs: on a 1000-point record the
+    # arrays are ~128 KB each, and fewer of them alive means fewer fresh pages per call.
+    del chirp
+    spectrum = np.fft.fft(chirped, length)
+    spectrum *= np.fft.fft(kernel, out=kernel)
+    amplitude = np.fft.ifft(spectrum, out=spectrum)[:, :n_grid]
     return amplitude.real ** 2 + amplitude.imag ** 2
 
 
 def _projection_power(x: np.ndarray, centered: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """The same power by direct cos/sin projection, about _CHUNK_CELLS cells at a time."""
+    """The same power of one row by direct cos/sin projection, _CHUNK_CELLS cells at a time."""
     rows = max(1, _CHUNK_CELLS // x.size)
     power = np.empty(omegas.size)
     for start in range(0, omegas.size, rows):
@@ -522,6 +549,69 @@ def _projection_power(x: np.ndarray, centered: np.ndarray, omegas: np.ndarray) -
         power[start:start + rows] = ((np.cos(phases) @ centered) ** 2
                                      + (np.sin(phases) @ centered) ** 2)
     return power
+
+
+def _frequencies(x: np.ndarray, y: np.ndarray, oversample: int = 8,
+                 max_grid: int = 20000) -> list:
+    """``dominant_frequency`` of each row of the (B, N) stacks x and y, or the FitError of a row.
+
+    Each row's checks, frequency grid and power are those of the row alone.
+    The distinct times of every row, and so its span and closest spacing, come
+    from one sort of the stack.  The rows on a lattice are grouped by lattice
+    length and grid size, and each group is one chirp-z pass (``_chirp_z_power``);
+    a row off its lattice takes the direct projection.
+    """
+    centered = y - y.mean(axis=-1, keepdims=True)
+    flat = (np.max(np.abs(centered), axis=-1) < 1e-12).tolist()
+    ordered = np.sort(x, axis=-1)
+    # where a new distinct time starts (NaNs sort last and count once, as in np.unique),
+    # and the gap to it: no inf - inf between repeated infinite times
+    new = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])
+    gaps = np.subtract(ordered[:, 1:], ordered[:, :-1], where=new, out=np.full(new.shape, np.inf))
+    spans = (ordered[:, -1] - ordered[:, 0]).tolist()
+    spacings = gaps.min(axis=-1, initial=np.inf).tolist()
+    distinct = (1 + new.sum(axis=-1)).tolist()
+    results, sizes = [], {}
+    for b, (span, spacing) in enumerate(zip(spans, spacings)):
+        if flat[b]:
+            results.append(FitError("frequency unidentifiable: flat spectrum (constant data)"))
+        elif distinct[b] < 2:
+            results.append(FitError("frequency unidentifiable: degenerate time grid"))
+        elif not math.pi / spacing < math.inf:
+            results.append(FitError(
+                f"frequency unidentifiable: time spacing {spacing} s is too fine"))
+        else:
+            results.append(None)
+            sizes[b] = int(min(max_grid, max(64, oversample * span / spacing)))
+    if not sizes:
+        return results
+    rows = list(sizes)
+    if len(rows) < len(results):
+        x, centered = x[rows], centered[rows]
+    index, step, lengths = _lattice(x, np.array([spacings[b] for b in rows]))
+    groups = {}
+    for r, (b, k_len) in enumerate(zip(rows, lengths.tolist())):
+        start, stop, n_grid = 0.5 / spans[b], 0.5 / spacings[b], sizes[b]
+        if k_len:  # np.linspace takes another path for the whole stack when a step is 0
+            key = (k_len, n_grid, n_grid > 1 and (stop - start) / (n_grid - 1) == 0)
+            groups.setdefault(key, []).append(r)
+        else:
+            omegas = 2 * np.pi * np.linspace(start, stop, n_grid)
+            results[b] = float(omegas[np.argmax(_projection_power(x[r], centered[r], omegas))])
+    for (k_len, n_grid, _), members in groups.items():
+        picked = [rows[r] for r in members]
+        omegas = 2 * np.pi * np.linspace(0.5 / np.array([spans[b] for b in picked]),
+                                         0.5 / np.array([spacings[b] for b in picked]),
+                                         n_grid).T
+        if len(members) < len(rows):  # else the arrays as they stand: one record, one lattice
+            power = _chirp_z_power(index[members], step[members], centered[members], omegas,
+                                   k_len)
+        else:
+            power = _chirp_z_power(index, step, centered, omegas, k_len)
+        best = omegas[np.arange(len(members)), np.argmax(power, axis=-1)]
+        for b, omega in zip(picked, best.tolist()):
+            results[b] = omega
+    return results
 
 
 def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> float:
@@ -535,25 +625,14 @@ def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> floa
     evaluated exactly by a chirp-z transform in O((N + n_grid) log(N + n_grid))
     time; any other grid falls back to the direct projection, computed in
     chunks of about a million cells.  Memory is O(N + n_grid) either way.
-    Raises FitError on flat data (no identifiable frequency).
+    Raises FitError on flat data (no identifiable frequency).  This is
+    ``_frequencies`` on a stack of one row.
     """
-    x = np.asarray(x, dtype=float)
-    centered = np.asarray(y, dtype=float) - np.mean(y)
-    if np.max(np.abs(centered)) < 1e-12:
-        raise FitError("frequency unidentifiable: flat spectrum (constant data)")
-    unique_x = np.unique(x)
-    if unique_x.size < 2:
-        raise FitError("frequency unidentifiable: degenerate time grid")
-    span = float(unique_x[-1] - unique_x[0])
-    spacing = float(np.min(np.diff(unique_x)))
-    if not math.pi / spacing < math.inf:
-        raise FitError(f"frequency unidentifiable: time spacing {spacing} s is too fine")
-    n_grid = int(min(max_grid, max(64, oversample * span / spacing)))
-    omegas = 2 * np.pi * np.linspace(0.5 / span, 0.5 / spacing, n_grid)
-    power = _lattice_power(x, centered, omegas)
-    if power is None:
-        power = _projection_power(x, centered, omegas)
-    return float(omegas[np.argmax(power)])
+    (omega,) = _frequencies(np.asarray(x, dtype=float).reshape(1, -1),
+                            np.asarray(y, dtype=float).reshape(1, -1), oversample, max_grid)
+    if isinstance(omega, FitError):
+        raise omega
+    return omega
 
 
 # ------------------------------------------------------------------ wrappers
@@ -691,31 +770,30 @@ def fit_fringe(
     return _held(result, t2_star)
 
 
-def _fit_fringes(fringes, n: int, taus, t2_star: float) -> list:
-    """``fit_fringe`` of each fringe, T2* held, in one ``_fit_stack`` call.
+def _fit_fringes(x, y, weight, n: int, taus, t2_star: float) -> list:
+    """``fit_fringe`` of each row of the (B, N) stacks x, y and weight, T2* held, in one stack.
 
-    ``fringes`` are FitData of one length, ``taus`` their pulse spacings.  Each
-    start frequency is ``dominant_frequency``'s, found per fringe.  Returns
-    one FitResult per fringe, each equal to ``fit_fringe``'s bit for bit, or
-    the FitError that ``fit_fringe`` raises for it; the others run on.
+    ``taus`` are the rows' pulse spacings.  The weights are checked once, for
+    the whole stack; the start frequencies are ``dominant_frequency``'s, found
+    for the whole stack at once (``_frequencies``), and the rows that have one
+    are fitted in one ``_fit_stack`` call.  Returns one FitResult per row, each
+    equal to ``fit_fringe``'s bit for bit, or the FitError that ``fit_fringe``
+    raises for it; the others run on.
     """
-    results, rows, delta0 = [None] * len(fringes), [], []
-    for i, data in enumerate(fringes):
-        try:
-            delta0.append(dominant_frequency(data.x, data.y))
-            rows.append(i)
-        except FitError as exc:
-            results[i] = exc
+    _check_weights(weight)
+    results = _frequencies(x, y)
+    rows = [b for b, start in enumerate(results) if not isinstance(start, FitError)]
     if rows:
-        x, y, weight = (np.stack([getattr(fringes[i], name) for i in rows])
-                        for name in ("x", "y", "weight"))
+        taus, delta0 = np.asarray(taus, dtype=float), [results[b] for b in rows]
+        if len(rows) < len(results):
+            x, y, weight, taus = x[rows], y[rows], weight[rows], taus[rows]
         initial, bounds, curve, jacobian, names = _fringe_problem(
-            x, y, n, np.asarray(taus, dtype=float)[rows], t2_star, delta0)
+            x, y, n, taus, t2_star, delta0)
         stacked = _fit_stack(curve, jacobian, x, y, weight, initial,
                              *_bound_arrays(bounds, len(names)), model=_fringe_model(n),
                              param_names=names, units=_FRINGE_UNITS)
-        for i, result in zip(rows, stacked):
-            results[i] = result if isinstance(result, FitError) else _held(result, t2_star)
+        for b, result in zip(rows, stacked):
+            results[b] = result if isinstance(result, FitError) else _held(result, t2_star)
     return results
 
 

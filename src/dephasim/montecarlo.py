@@ -36,6 +36,13 @@ Reproducibility contract: a dataset is one random stream,
 in one binomial call: the same config and seed give bit-identical datasets.
 A visibility scan keys one such stream per pulse spacing, from
 ``(rng_seed, row index)``.
+
+A visibility scan is one (B, N) stack of fringes, one row per pulse spacing,
+from grid to fit.  One ``ensemble_probability`` call evaluates the whole stack,
+its sequence holding the spacings as a (B, 1) column; with a light shift, row b
+draws point by point from stream b, rows in order.  Each row then takes its
+counts in one binomial call from its own stream, and the fractions and weights
+go to the stacked fringe fit as (B, N) arrays.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ import numpy as np
 from .analytic import _gaussian_factor, _readout
 from .bloch import SequenceSpec, accumulated_phase, jump_weights
 from .errors import DataFormatError, DomainError, FitError
-from .fit import _fit_fringes, fit_fringe, points_from_counts  # noqa: F401 (fit_fringe re-exported)
+from .fit import (  # noqa: F401 (fit_fringe re-exported)
+    _fit_fringes, binomial_weights, fit_fringe, points_from_counts,
+)
 from .noise import (
     T2_STAR_PER_ETA,
     HomogeneousNoiseSpec,
@@ -128,8 +137,7 @@ class ExperimentConfig:
         if not 0.0 <= self.contrast <= 1.0:
             raise DomainError(f"contrast must lie in [0, 1], got {self.contrast}")
         grid = tuple(float(t) for t in self.time_grid)
-        if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
-            raise DomainError("time grid must be strictly increasing")
+        _check_increasing(np.array(grid))
         object.__setattr__(self, "time_grid", grid)
         if self.homogeneous is not None and self.sequence.n >= 1:
             if self.homogeneous.sigmas.shape[0] != self.sequence.n:
@@ -137,6 +145,12 @@ class ExperimentConfig:
                     f"homogeneous noise describes {self.homogeneous.sigmas.shape[0]} "
                     f"intervals but the sequence has n = {self.sequence.n}"
                 )
+
+
+def _check_increasing(grid: np.ndarray) -> None:
+    """The time-grid rule, for one grid or for each row of a (B, N) stack."""
+    if np.any(grid[..., 1:] <= grid[..., :-1]):
+        raise DomainError("time grid must be strictly increasing")
 
 
 def _column(values, name: str, integral: bool) -> np.ndarray:
@@ -344,6 +358,11 @@ def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = N
     at n >= 1 multiplies that mean by the exact Gaussian average
     exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
     and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
+
+    A stack of B sequences that differ only in tau (a visibility scan) is one
+    call: ``config.sequence.tau`` a (B, 1) column, ``t`` a (B, N) grid and
+    ``rng`` a list of B generators, row b's draws coming from ``rng[b]`` (or one
+    generator, drawn from row after row).
     """
     seq = config.sequence
     delta_eff = seq.delta - config.zeeman_shift
@@ -351,13 +370,17 @@ def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = N
         mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     else:
         draws = config.noise_draws if draws is None else draws
+        taus = seq.tau[:, 0] if isinstance(seq.tau, np.ndarray) else [seq.tau]
+        streams = rng if isinstance(rng, list) else [rng] * len(taus)
         mean_cos = np.empty(np.shape(t))
-        for i, point in enumerate(np.ravel(t)):
-            # No name holds the sampler's (3, draws) buffer or a draw batch, so their pages
-            # are reused: holding the buffer through the cosine cost ~1.8x per point.
-            mean_cos.flat[i] = _mean_cos(accumulated_phase(
-                delta_eff - lightshift_sample(config.inhomogeneous, rng, size=draws),
-                seq.tau, seq.n, point))
+        for row, stream, tau, times in zip(mean_cos.reshape(len(taus), -1), streams, taus,
+                                           np.reshape(t, (len(taus), -1))):
+            for i, point in enumerate(times):
+                # No name holds the sampler's (3, draws) buffer or a draw batch, so their
+                # pages are reused: holding the buffer through the cosine cost ~1.8x per point.
+                row[i] = _mean_cos(accumulated_phase(
+                    delta_eff - lightshift_sample(config.inhomogeneous, stream, size=draws),
+                    tau, seq.n, point))
     if config.homogeneous is not None and seq.n >= 1:
         mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
                                                config.homogeneous.sigmas)
@@ -384,11 +407,15 @@ def simulate_dataset(config: ExperimentConfig) -> FringeDataset:
 def binomial_dataset(times, probabilities, cycles: int, rng) -> FringeDataset:
     """Binomially sample known probabilities: the measurement-emulation step alone."""
     times = np.asarray(times, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
-        raise DomainError("probabilities must lie in [0, 1]")
+    p = _check_probabilities(np.asarray(probabilities, dtype=float))
     successes = rng.binomial(int(cycles), p)
     return FringeDataset(times, successes, np.full(times.shape, int(cycles), dtype=np.int64))
+
+
+def _check_probabilities(p: np.ndarray) -> np.ndarray:
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
+        raise DomainError("probabilities must lie in [0, 1]")
+    return p
 
 
 # ------------------------------------------------------------- visibility
@@ -408,16 +435,18 @@ class VisibilityPoint:
 _CARRIER_PERIODS = 3.0  # fringe periods a scan covers, when 0.95 tau on each side allows
 
 
-def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> list[np.ndarray]:
-    """Readout times of each fringe of a scan, symmetric around its echo time 2*n*tau."""
+def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> np.ndarray:
+    """Readout times of a scan's fringes, one row per tau, symmetric around echo time 2*n*tau."""
     carrier = (config.sequence.delta - config.zeeman_shift
                - (config.inhomogeneous.delta0 if config.inhomogeneous else 0.0))
     if abs(carrier) < 1e-9:
         raise DomainError("visibility scan needs a nonzero effective carrier detuning "
                           "to produce fringes")
-    spans = [min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau) for tau in taus]
-    return [2 * config.sequence.n * tau + np.linspace(-half_span, half_span, points_per_fringe)
-            for tau, half_span in zip(taus, spans)]
+    taus = np.asarray(taus, dtype=float)
+    half_spans = np.array([min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau)
+                           for tau in taus.tolist()])
+    return (2 * config.sequence.n * taus[:, None]
+            + np.linspace(-half_spans, half_spans, points_per_fringe, axis=-1))
 
 
 def scan_visibility(
@@ -428,35 +457,39 @@ def scan_visibility(
     """Two-stage visibility extraction over a grid of pulse spacings.
 
     For each tau, the readout pulse time is scanned symmetrically around the
-    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods) and a
-    dataset is simulated, from its own stream, in tau order.  All fringes are
-    then fitted in one stacked call, each with the result ``fit_fringe`` gives
-    it alone, and their visibilities recorded.  Fit failures are reported per
-    point (``ok = False``), never raised.
+    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods).  The
+    scan is one (B, N) stack, one row per tau, from grid to fit: one
+    ``ensemble_probability`` call evaluates every fringe (its pulse spacings a
+    column), each fringe draws its light shift and then its counts, in one
+    binomial call, from its own stream, and all fringes are fitted in one
+    stacked call, each with the result ``fit_fringe`` gives it alone.  Fit
+    failures are reported per point (``ok = False``), never raised.
     """
     seq = config.sequence
     if seq.n < 1:
         raise DomainError("visibility scans need at least one refocusing pulse")
     t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
-    taus = [float(tau) for tau in tau_grid]
-    fringes = []
-    for j, (tau, grid) in enumerate(zip(taus, _fringe_grids(config, taus, points_per_fringe))):
-        sub_seed = int(np.random.SeedSequence(
-            entropy=config.rng_seed, spawn_key=(2, j)
-        ).generate_state(1)[0])
-        sub_config = replace(
-            config,
-            sequence=replace(seq, tau=tau, t=None),
-            time_grid=tuple(grid),
-            rng_seed=sub_seed,
-        )
-        dataset = simulate_dataset(sub_config)
-        if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
-            dataset = FringeDataset(dataset.times, dataset.trials - dataset.successes,
-                                    dataset.trials)
-        fringes.append(dataset.points())
+    taus = np.array([float(tau) for tau in tau_grid])
+    grids = _fringe_grids(config, taus, points_per_fringe)
+    if not taus.size:
+        return []
+    streams = [np.random.default_rng(int(np.random.SeedSequence(
+        entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0]))
+        for j in range(taus.size)]
+    scan = replace(config, sequence=replace(seq, tau=taus[:, None], t=None), time_grid=())
+    _check_increasing(grids)
+    if not points_per_fringe:  # as simulate_dataset refuses an empty grid
+        raise DomainError("config has an empty time grid")
+    p = _check_probabilities(ensemble_probability(scan, grids, streams))
+    cycles = int(config.cycles_per_point)
+    successes = np.array([stream.binomial(cycles, row) for stream, row in zip(streams, p)])
+    if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
+        successes = cycles - successes
+    fractions = successes / cycles
+    fits = _fit_fringes(grids, fractions, binomial_weights(fractions, cycles),
+                        seq.n, taus, t2_star)
     points = []
-    for tau, fit in zip(taus, _fit_fringes(fringes, seq.n, taus, t2_star)):
+    for tau, fit in zip(taus.tolist(), fits):
         echo_time = 2 * seq.n * tau
         if isinstance(fit, FitError):
             points.append(VisibilityPoint(

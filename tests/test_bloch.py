@@ -247,3 +247,53 @@ def test_matrix_product_equals_closed_form_with_jumps(n, delta, log_tau, readout
     assert evolve(delta, tau, n, t, jumps)[2] == pytest.approx(
         w_cpmg(delta, tau, n, t, jumps), abs=1e-12
     )
+
+
+@st.composite
+def spacing_stacks(draw):
+    """n, B pulse spacings and a (B, N) stack of readout times, each after its row's last pulse."""
+    n = draw(st.integers(0, 6))
+    rows, points = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    taus = np.array([10.0 ** draw(st.floats(-5.0, -2.0)) for _ in range(rows)])
+    delays = np.array([[draw(st.floats(0.0, 3.0)) for _ in range(points)] for _ in range(rows)])
+    earliest = (2 * n - 1) * taus if n else np.zeros(rows)
+    return n, taus, earliest[:, None] + delays * taus[:, None]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(spacing_stacks(), st.floats(-2e4, 2e4))
+def test_a_column_of_spacings_equals_each_row_alone(stack, delta):
+    # A (B, 1) column of spacings against a (B, N) stack of times gives each row
+    # the phase and jump weights of that row's own call, bit for bit.
+    n, taus, t = stack
+    phase = accumulated_phase(delta, taus[:, None], n, t)
+    weights = jump_weights(taus[:, None], n, t)
+    assert phase.shape == t.shape and weights.shape == t.shape + (n,)
+    for b, tau in enumerate(taus.tolist()):
+        assert phase[b].tobytes() == accumulated_phase(delta, tau, n, t[b]).tobytes()
+        assert weights[b].tobytes() == jump_weights(tau, n, t[b]).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(spacing_stacks(), st.data())
+def test_a_stack_with_one_row_read_out_early_is_refused(stack, data):
+    # One readout time of one row before that row's last pulse is refused with the
+    # message of that row's own call, however many rows read out in time; so is
+    # one non-positive spacing, for n >= 1.
+    n, taus, t = stack
+    b = data.draw(st.integers(0, len(taus) - 1))
+    earliest = (2 * n - 1) * taus[b] if n else 0.0
+    t[b, data.draw(st.integers(0, t.shape[1] - 1))] = (
+        earliest - data.draw(st.floats(1e-3, 1.0)) * taus[b])
+    with pytest.raises(DomainError) as alone:
+        accumulated_phase(0.0, taus[b], n, t[b])
+    with pytest.raises(DomainError) as stacked:
+        accumulated_phase(0.0, taus[:, None], n, t)
+    assert str(stacked.value) == str(alone.value)
+    if n:
+        taus[b] = data.draw(st.sampled_from([0.0, -taus[b]]))
+        with pytest.raises(DomainError) as alone:
+            SequenceSpec("cpmg", n, tau=taus[b])
+        with pytest.raises(DomainError) as stacked:
+            SequenceSpec("cpmg", n, tau=taus[:, None])
+        assert str(stacked.value) == str(alone.value)

@@ -20,6 +20,7 @@ from dephasim.cli import (
     _load_document, _parse_sweep_section, build_experiment, main, read_visibility_csv,
     write_visibility_csv,
 )
+from dephasim.bloch import SEQUENCE_KINDS
 from dephasim.errors import ConfigError, DataFormatError, DomainError
 from dephasim.fit import FitResult, weighted_points
 from dephasim.montecarlo import FringeDataset, VisibilityPoint
@@ -554,6 +555,36 @@ def test_sweep_negative_row_sigma_exits_2_naming_the_row_before_the_first_scan(t
     assert list(outdir.iterdir()) == []
 
 
+def test_sweep_skips_a_row_whose_fitted_errors_are_zero(tmp_path, capsys):
+    # At T2* = 1e-300 s the held envelope is 0, and at 4 points per fringe the
+    # fits report a visibility with error 0.0.  The table keeps those points, but
+    # fit --model visibility would refuse them (weight 1/0), so the summary fit
+    # skips each such row with a note; the run completes instead of stopping
+    # after the first table with a weight error that names no row.
+    doc = sweep_doc(sigma_sig=27.6)
+    doc["inhomogeneous"] = {"delta0": {"value": 0.0, "angular": False}, "t2_star_s": 1e-300}
+    doc["noise_draws"] = 16
+    doc["sweep"].update(tau_points=3, points_per_fringe=4)
+    config = write_config(tmp_path / "cfg.json", doc)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the envelope underflows to 0
+        rc = main(["sweep-n", "--config", config, "--n", "4,2,1", "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert "Traceback" not in err and "error:" not in err
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "summary.json", "sweep.manifest.json",
+        "visibility_n1.csv", "visibility_n2.csv", "visibility_n4.csv"]
+    with open(outdir / "visibility_n4.csv", newline="") as handle:
+        assert "0.0" in [row["visibility_err"] for row in csv.DictReader(handle)]
+    for n in (4, 2, 1):
+        assert f"n = {n}: fits failed on " in err and "skipping summary row" in err
+    summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
+    assert summary == {"rows": []}
+
+
 REPEATED_KEY_CONFIG = (
     '{"sequence": {"kind": "cpmg", "n": 1, "tau_s": 0.001,'
     ' "delta": {"value": 1500.0, "angular": false}},'
@@ -880,6 +911,73 @@ def test_sweep_n_on_any_config_exits_0_2_or_3_without_a_traceback(case):
                        "--outdir", tmp])
     assert rc in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+@st.composite
+def simulate_configs(draw):
+    """A small simulate config: at most 9 readout times and 32 light-shift draws.
+
+    Most configs run; a degenerate value here and there (a pulse count that does
+    not fit the kind, a zero or huge spacing, a grid that reads out before the
+    last pulse, is not increasing or overflows) gets them refused.
+    """
+    kind = draw(st.sampled_from(SEQUENCE_KINDS))
+    n = {"ramsey": 0, "spin_echo": 1}.get(kind, draw(st.integers(1, 6)))
+    n = draw(mostly(st.just(n), n + 1, -1))
+    tau = draw(mostly(st.floats(1e-4, 1e-2), 0.0, 1e-9, 1.0))
+    points = draw(st.integers(1, 9))
+    earliest = (2 * n - 1) * tau if n >= 1 else 0.0
+    grid = draw(st.sampled_from(["list", "half_span", "start_stop"]))
+    if grid == "list":
+        offsets = draw(st.lists(mostly(st.floats(0.0, 3.0), -0.5, 1e300), min_size=points,
+                                max_size=points, unique=True))
+        time_grid = [earliest + offset * (tau or 1e-3) for offset in sorted(offsets)]
+        if draw(mostly(st.just(False), True)):
+            time_grid.reverse()
+    elif grid == "half_span":
+        time_grid = {"half_span_s": draw(mostly(st.floats(0.01, 0.9), 0.0, 2.0, 1e300))
+                     * (tau or 1e-3), "points": points}
+    else:
+        start = earliest + draw(mostly(st.floats(0.0, 3.0), -0.5, 1e300)) * (tau or 1e-3)
+        time_grid = {"start_s": start, "stop_s": start + draw(mostly(st.floats(1e-4, 1e-2), 0.0)),
+                     "points": points}
+    doc = {
+        "sequence": {"kind": kind, "n": n, "tau_s": tau, "delta": draw(frequencies(DETUNINGS))},
+        "time_grid_s": time_grid,
+        "cycles_per_point": draw(mostly(st.integers(1, 200), 1)),
+        "noise_draws": draw(st.integers(1, 32)),
+        "rng_seed": draw(st.integers(0, 2**64)),
+        "contrast": draw(mostly(st.floats(0.05, 1.0), 0.0)),
+        "invert_fraction": draw(st.booleans()),
+        "zeeman_shift": draw(frequencies(st.sampled_from([0.0, 12.0, 1500.0]))),
+    }
+    if draw(st.booleans()):
+        doc["homogeneous"] = ({"sigma_sig": draw(frequencies(SIGMAS))} if draw(st.booleans())
+                              else {"sigmas": [draw(frequencies(SIGMAS))
+                                               for _ in range(max(n, 1))]})
+    if draw(st.booleans()):
+        doc["inhomogeneous"] = {"delta0": draw(frequencies(DETUNINGS)),
+                                draw(st.sampled_from(["t2_star_s", "eta_s"])):
+                                    draw(mostly(st.floats(1e-4, 1e-2), 1e-300, 1e300))}
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(simulate_configs())
+def test_simulate_on_any_config_exits_0_2_or_3_without_a_traceback(doc):
+    # As for sweep-n: every refused config, value or grid returns its exit code
+    # from main, and a run that succeeds writes its three outputs.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        config = write_config(Path(tmp) / "cfg.json", doc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["simulate", "--config", config, "--output", str(Path(tmp) / "run")])
+        written = sorted(p.name for p in Path(tmp).iterdir())
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 0:
+        assert written == ["cfg.json", "run.csv", "run.json", "run.manifest.json"]
 
 
 @pytest.fixture(scope="module")

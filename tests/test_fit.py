@@ -311,11 +311,17 @@ def projection_oracle(x, y, oversample=8, max_grid=20000):
 def assert_matches_oracle(x, y, on_lattice=True):
     omegas, power = projection_oracle(x, y)
     assert dominant_frequency(x, y) == omegas[np.argmax(power)]
+    x = np.asarray(x, dtype=float)
     centered = np.asarray(y, dtype=float) - np.mean(y)
-    fast = fit_module._lattice_power(np.asarray(x, dtype=float), centered, omegas)
-    if not on_lattice:
-        assert fast is None
-        fast = fit_module._projection_power(np.asarray(x, dtype=float), centered, omegas)
+    spacing = np.min(np.diff(np.unique(x)))
+    index, step, lengths = fit_module._lattice(x[None], np.array([spacing]))
+    k_len = int(lengths[0])
+    if on_lattice:
+        assert k_len
+        fast = fit_module._chirp_z_power(index, step, centered[None], omegas[None], k_len)[0]
+    else:
+        assert not k_len
+        fast = fit_module._projection_power(x, centered, omegas)
     assert np.max(np.abs(fast - power)) <= 1e-9 * np.max(power)
 
 
@@ -387,6 +393,58 @@ def test_dominant_frequency_memory_stays_linear():
         tracemalloc.stop()
     assert peak < 16e6
     assert omega == pytest.approx(2 * math.pi * 8.6e3, rel=0.01)
+
+
+@st.composite
+def record_stacks(draw):
+    """A (B, N) stack of records of many kinds, one length.
+
+    Linspace rows of various spans and spacings (so their frequency grids
+    differ in size, and float rounding of span/spacing may too), lattice rows
+    with gaps and repeated times, jittered rows off any lattice, flat rows and
+    rows whose times are all equal.
+    """
+    points = draw(st.integers(2, 40))
+    x, y = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["linspace", "gaps", "off", "flat", "one_time"]))
+        start, step = draw(st.floats(0.0, 2e-2)), 10.0 ** draw(st.floats(-6.0, -4.0))
+        if kind == "gaps":
+            index = sorted(draw(st.lists(st.integers(0, 3 * points), min_size=points,
+                                         max_size=points)))
+            times = start + step * np.array(index, dtype=float)
+        elif kind == "off":
+            jitter = draw(st.lists(st.floats(-0.4, 0.4), min_size=points, max_size=points))
+            times = np.sort(start + step * (np.arange(points) + np.array(jitter)))
+        elif kind == "one_time":
+            times = np.full(points, start)
+        else:
+            times = np.linspace(start, start + step * (points - 1), points)
+        freq = draw(st.floats(0.01, 0.5)) / step
+        if kind == "flat":
+            values = np.full(points, draw(st.floats(0.0, 1.0)))
+        else:
+            values = noisy_carrier(times, freq, seed=draw(st.integers(0, 2**32 - 1)))
+        x.append(times)
+        y.append(values)
+    return np.array(x), np.array(y)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(record_stacks())
+def test_stacked_start_frequencies_equal_each_row_alone(stack):
+    # The start frequencies of a stack equal dominant_frequency of each row alone,
+    # bit for bit, or raise its FitError message, whatever the other rows are.
+    x, y = stack
+    stacked = fit_module._frequencies(x, y)
+    assert len(stacked) == len(x)
+    for b, result in enumerate(stacked):
+        try:
+            alone = dominant_frequency(x[b], y[b])
+        except FitError as exc:
+            assert isinstance(result, FitError) and str(result) == str(exc)
+        else:
+            assert isinstance(result, float) and result.hex() == alone.hex()
 
 
 def test_binomial_weights_floor():
@@ -930,7 +988,9 @@ def test_stacked_fringe_fits_equal_each_fringe_fit_alone(stack):
     # the same parameters, errors, rss, iterations, stop reason, cost history and
     # gradient norm, bit for bit, or the same FitError message.
     n, taus, t2_star, fringes = stack
-    stacked = fit_module._fit_fringes(fringes, n, taus, t2_star)
+    x, y, weight = (np.stack([getattr(data, name) for data in fringes])
+                    for name in ("x", "y", "weight"))
+    stacked = fit_module._fit_fringes(x, y, weight, n, taus, t2_star)
     assert len(stacked) == len(fringes)
     for data, tau, result in zip(fringes, taus, stacked):
         assert outcome(result) == outcome(fit_fringe_alone(data, n, tau, t2_star))
