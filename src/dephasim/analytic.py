@@ -75,21 +75,23 @@ def envelope_alpha(x, t2_star: float):
     """Fringe-contrast envelope [1 + (k*x/T2*)**2]**(-3/2), k = ``T2_STAR_PER_ETA``."""
     if not t2_star > 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
-    return _scalar_or_array(x, (1.0 + kr**2) ** -1.5)
+    return _scalar_or_array(x, _envelope(x, t2_star, 0)[0])
 
 
 def envelope_kappa(x, t2_star: float):
     """Fringe phase chirp -3*arctan(k*x/T2*), k = ``T2_STAR_PER_ETA``."""
     if not t2_star > 0:
         raise DomainError(f"t2_star must be positive, got {t2_star}")
-    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
-    return _scalar_or_array(x, -3.0 * np.arctan(kr))
+    return _scalar_or_array(x, _envelope(x, t2_star, 0)[1])
 
 
 def _envelope(x, t2_star, n):
-    """The envelope part of ``_fringe``: (-1)**n * alpha(x) and kappa(x)."""
-    return (-1.0) ** n * envelope_alpha(x, t2_star), envelope_kappa(x, t2_star)
+    """(-1)**n * alpha(x) and kappa(x), the envelope part of ``_fringe``, from one kr = k*x/T2*.
+
+    Unchecked; t2_star is a number, or a (B, 1) column for a (B, N) stack of fringes.
+    """
+    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
+    return (-1.0) ** n * (1.0 + kr**2) ** -1.5, -3.0 * np.arctan(kr)
 
 
 def _columns(*columns):
@@ -108,7 +110,7 @@ def _fringe(x, visibility, delta_prime, phase, t2_star, n, envelope=None):
     """visibility * (-1)**n * alpha(x) * cos(delta_prime*x + phase + kappa(x)).
 
     x is the time from the echo, t - 2*n*tau; ``envelope``, when given, is
-    ``_envelope(x, t2_star, n)``.  Nothing is checked but t2_star > 0.
+    ``_envelope(x, t2_star, n)``.  Nothing is checked.
     """
     signed_alpha, kappa = _envelope(x, t2_star, n) if envelope is None else envelope
     return visibility * signed_alpha * np.cos(delta_prime * x + phase + kappa)

@@ -6,9 +6,10 @@ its kind and default.  Every frequency is an object ``{"value": <number>,
 "angular": <bool>}``: hertz when angular is false (converted to rad/s once
 at load), rad/s when true.  Unknown or missing keys, values of the wrong
 kind, non-finite numbers, frequencies and grids that overflow, a negative
-``rng_seed`` and a negative ``sigma_sig`` of a sweep row are rejected with
-their dotted path.  A key given twice in one object, which ``json`` would
-resolve silently to its last value, is rejected by name.
+``rng_seed``, ``sigma_sig`` or ``sigmas`` entry and a ``contrast`` outside
+[0, 1] are rejected with their dotted path.  A key given twice in one
+object, which ``json`` would resolve silently to its last value, is
+rejected by name.
 
 Exit codes: 0 success; 2 usage, config, or data error; 3 domain-constraint
 violation (e.g. readout before the last pulse); 4 fit non-convergence under
@@ -48,15 +49,16 @@ __all__ = ["main"]
 
 # One table per JSON object: key -> (kind, default), the default taken when the
 # key is absent (REQUIRED: it must be given).  Kinds: "number" (a finite float),
-# "integer", "count" (an integer >= 1), "bool", "string", "object", "list",
-# "frequency" (an object, returned in rad/s), None (read in code) or a table.
+# "fraction" (a number in [0, 1]), "integer", "count" (an integer >= 1), "bool",
+# "string", "object", "list", "frequency" (an object, returned in rad/s), "width"
+# (a frequency >= 0), None (read in code) or a table.
 REQUIRED = object()
 _FREQUENCY = {"value": ("number", REQUIRED), "angular": ("bool", REQUIRED)}
 _SEQUENCE = {"kind": ("string", REQUIRED), "n": ("integer", None),  # None: 0 for ramsey, else 1
              "tau_s": ("number", 0.0), "delta": ("frequency", 0.0)}
 _INHOMOGENEOUS = {"delta0": ("frequency", 0.0),  # exactly one of t2_star_s and eta_s
                   "t2_star_s": ("number", None), "eta_s": ("number", None)}
-_HOMOGENEOUS = {"sigma_sig": ("frequency", None), "sigmas": ("list", None)}  # exactly one
+_HOMOGENEOUS = {"sigma_sig": ("width", None), "sigmas": ("list", None)}  # exactly one
 _HALF_SPAN_GRID = {"half_span_s": ("number", REQUIRED), "points": ("count", REQUIRED)}
 _START_STOP_GRID = {"start_s": ("number", REQUIRED), "stop_s": ("number", REQUIRED),
                     "points": ("count", REQUIRED)}
@@ -69,14 +71,14 @@ _CONFIG = {
     "time_grid_s": (None, []),  # a list of seconds, _HALF_SPAN_GRID or _START_STOP_GRID
     "rng_seed": ("integer", 0),
     "zeeman_shift": ("frequency", 0.0),
-    "contrast": ("number", 1.0),
+    "contrast": ("fraction", 1.0),
     "invert_fraction": ("bool", False),
     "metadata": ("object", {}),
     "sweep": (None, None),  # _SWEEP, read by _parse_sweep_section only
 }
 _SWEEP = {"tau_points": ("count", 10), "span_t2_prime": ("list", [0.15, 1.1]),
           "points_per_fringe": ("count", 31), "rows": ("object", {})}  # rows: n -> _SWEEP_ROW
-_SWEEP_ROW = {"sigma_sig": ("frequency", REQUIRED), "contrast": ("number", 1.0)}
+_SWEEP_ROW = {"sigma_sig": ("width", REQUIRED), "contrast": ("fraction", 1.0)}
 _TYPES = {"integer": (int, "an integer"), "count": (int, "an integer"),
           "bool": (bool, "true/false"), "string": (str, "a string"),
           "object": (dict, "an object"), "list": (list, "a list")}
@@ -104,9 +106,13 @@ def _value(value, kind, where: str):
     """Check one value against its kind and return it converted; a table is read in full."""
     if kind is None:
         return value
-    if kind == "number":
-        return _number(value, where)
-    if kind == "frequency":
+    name = where.rpartition(".")[2]
+    if kind in ("number", "fraction"):
+        number = _number(value, where)
+        if kind == "fraction" and not 0.0 <= number <= 1.0:
+            raise ConfigError(where, f"{name} must lie in [0, 1], got {number}")
+        return number
+    if kind in ("frequency", "width"):
         if not isinstance(value, dict):
             raise ConfigError(
                 where, 'frequencies must be {"value": <number>, "angular": <bool>} objects')
@@ -114,6 +120,8 @@ def _value(value, kind, where: str):
         rad_s = freq["value"] if freq["angular"] else 2.0 * math.pi * freq["value"]
         if not math.isfinite(rad_s):
             raise ConfigError(f"{where}.value", f"{freq['value']!r} Hz overflows in rad/s")
+        if kind == "width" and rad_s < 0:
+            raise ConfigError(where, f"{name} must be >= 0, got {rad_s} rad/s")
         return rad_s
     accepted, expected = (dict, "an object") if isinstance(kind, dict) else _TYPES[kind]
     if not isinstance(value, accepted) or (accepted is int and isinstance(value, bool)):
@@ -207,7 +215,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
             raise ConfigError("homogeneous.sigmas", "expected a non-empty list of frequencies")
         else:
             homogeneous = HomogeneousNoiseSpec(np.array([
-                _value(item, "frequency", f"homogeneous.sigmas[{i}]")
+                _value(item, "width", f"homogeneous.sigmas[{i}]")
                 for i, item in enumerate(section["sigmas"])]))
 
     grid = top["time_grid_s"]
@@ -347,8 +355,9 @@ def cmd_simulate(args) -> int:
 
 _FIT_MODELS = tuple(sorted(FITTERS))
 
-#: Fitter parameter -> (argparse attribute, flag), in the order they are checked.
-_SEQUENCE_ARGS = {"tau": ("tau_s", "--tau-s"), "n": ("n", "--n")}
+#: (fitter parameter, argparse attribute, flag) of each fit flag, the sequence geometry first.
+_FIT_ARGS = (("tau", "tau_s", "--tau-s"), ("n", "n", "--n"),
+             ("t2_star", "t2_star_s", "--t2-star-s"), ("t2_star", "fit_t2_star", "--fit-t2-star"))
 
 
 def cmd_fit(args) -> int:
@@ -357,18 +366,18 @@ def cmd_fit(args) -> int:
     fitter = FITTERS[args.model]
     params = inspect.signature(fitter).parameters
     kwargs = {}
-    for name, (attr, flag) in _SEQUENCE_ARGS.items():
+    for name, attr, flag in _FIT_ARGS[:2]:
         if name in params and params[name].default is inspect.Parameter.empty:
             if getattr(args, attr) is None:
                 raise ConfigError(attr, f"{args.model} fits need {flag}")
             kwargs[name] = getattr(args, attr)
-    if "t2_star" in params:
-        if args.fit_t2_star:
-            kwargs["t2_star"] = None
-        elif args.t2_star_s is not None:
-            kwargs["t2_star"] = args.t2_star_s
+    if "t2_star" in params and (args.fit_t2_star or args.t2_star_s is not None):
+        kwargs["t2_star"] = None if args.fit_t2_star else args.t2_star_s
     if args.output:
         _refuse_to_overwrite(args.data, [args.output])
+    for name, attr, flag in _FIT_ARGS:  # given, but the fitter lacks it or fixes it
+        if getattr(args, attr) is not None and name not in kwargs:
+            raise ConfigError(attr, f"{args.model} fits take no {flag}")
     if args.model == "visibility":
         points = read_visibility_csv(args.data)
     else:
@@ -413,8 +422,6 @@ def cmd_sweep_n(args) -> int:
         if sigma_sig is None:
             raise ConfigError(f"sweep.rows.{n}", "no sigma_sig available for this n")
         where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
-        if sigma_sig < 0:
-            raise ConfigError(where, f"sigma_sig must be >= 0, got {sigma_sig} rad/s")
         contrast = row.get("contrast", base_config.contrast)
         kind = "spin_echo" if n == 1 else "cpmg"
         sequence = replace(base_config.sequence, kind=kind, n=n,
@@ -502,9 +509,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"one of: {', '.join(_FIT_MODELS)}")
     fit.add_argument("--n", type=int, default=None, help="pulse number (cpmg/visibility)")
     fit.add_argument("--tau-s", type=float, default=None, help="pulse spacing in seconds")
-    fit.add_argument("--t2-star-s", type=float, default=None,
-                     help="hold the envelope time fixed at this value (seconds)")
-    fit.add_argument("--fit-t2-star", action="store_true", help="co-fit the envelope time")
+    envelope = fit.add_mutually_exclusive_group()
+    envelope.add_argument("--t2-star-s", type=float, default=None,
+                          help="hold the envelope time fixed at this value (seconds)")
+    envelope.add_argument("--fit-t2-star", action="store_true", default=None,
+                          help="co-fit the envelope time")
     fit.add_argument("--output", default=None, help="write the fit result JSON here")
     fit.add_argument("--strict", action="store_true", help="exit 4 when not converged")
     fit.set_defaults(func=cmd_fit)

@@ -11,13 +11,14 @@ independent problems of one model: the model, Jacobian, normal equations and
 damped solves of all B are evaluated together, while each problem keeps its
 own damping, accepted steps, stop reason and history, and a problem whose
 model goes non-finite fails alone.  Each problem's arithmetic is that of its
-fit alone, bit for bit.  ``fit_curve`` is a stack of one; a visibility scan
-fits all its fringes in one stack (``_fit_fringes``), which gives each
-fringe exactly the result ``fit_fringe`` gives it.  The start frequencies
-are found the same way: the periodogram is written once, for a stack of
-records (``_frequencies``), whose rows on a time lattice are grouped by
-lattice length and grid size, each group one set of FFTs along the last
-axis; ``dominant_frequency`` is a stack of one.
+fit alone, bit for bit.  ``fit_curve`` is a stack of one.  The fringe fit
+is written once, for a stack of fringes (``_fit_fringes``), with T2* held
+or co-fitted: a visibility scan fits all its fringes in one stack, and
+``fit_fringe`` is a stack of one.  The start frequencies are found the same
+way: the periodogram is written once, for a stack of records
+(``_frequencies``), whose rows on a time lattice are grouped by lattice
+length and grid size, each group one set of FFTs along the last axis;
+``dominant_frequency`` is a stack of one.
 
 Every fit takes one ``FitData`` (arrays x, y and weight = 1/variance, the
 weights checked once, when it is built).  Wrappers cover Rabi oscillation,
@@ -54,7 +55,7 @@ from .analytic import (
     _visibility_jacobian,
     t2_prime,
 )
-from .errors import FitError
+from .errors import DomainError, FitError
 
 __all__ = [
     "FitData",
@@ -90,21 +91,12 @@ class FitData:
         if x.ndim != 1 or not x.shape == y.shape == weight.shape:
             raise FitError(f"x, y and weight must be 1-D arrays of one length, "
                            f"got shapes {x.shape}, {y.shape} and {weight.shape}")
-        _check_weights(weight)
+        bad = ~((weight > 0) & (weight < math.inf))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise FitError(f"weight must be positive and finite, got {weight[i]} at point {i}")
         for name, values in (("x", x), ("y", y), ("weight", weight)):
             object.__setattr__(self, name, values)
-
-
-def _check_weights(weight: np.ndarray) -> None:
-    """Every weight, of one record or of each row of a (B, N) stack, positive and finite.
-
-    A FitError names the first point that is not (and its row, in a stack).
-    """
-    bad = ~((weight > 0) & (weight < math.inf))
-    if np.any(bad):
-        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        where = f"point {index[-1]}" + (f" of row {index[0]}" if bad.ndim == 2 else "")
-        raise FitError(f"weight must be positive and finite, got {weight[index]} at {where}")
 
 
 _WEIGHT_FLOOR = 1e-4  # smallest p*(1-p) taken as the binomial variance of one trial
@@ -682,23 +674,53 @@ def fit_t1(data: FitData) -> FitResult:
 _FRINGE_UNITS = {"visibility": "", "delta_prime": "rad/s", "phase": "rad", "t2_star": "s"}
 
 
-def _fringe_problem(x, y, n: int, tau, t2_star, delta0):
-    """The fringe fit of one fringe or of a stack: start values, bounds, curve and Jacobian.
+def fit_fringe(
+    data: FitData,
+    n: int,
+    tau: float,
+    t2_star: float | None = math.inf,
+) -> FitResult:
+    """Fit a fraction-vs-time fringe for its visibility.
 
-    ``x`` and ``y`` are one fringe's (N,) arrays, with ``tau`` and ``delta0``
-    (the start frequency) numbers, or a stack's (B, N) arrays, with ``tau`` and
-    ``delta0`` of shape (B,).  The visibility starts at the peak-to-peak of the
-    fractions and the phase at 0, or at pi where the data anti-correlate with
-    the phase-0 start (the flipped branch).  A held T2* fixes the envelope at
-    the data's times, computed here once; ``t2_star=None`` co-fits it, for one
-    fringe only.  The curve and Jacobian take theta of shape (P,) or (B, P)
-    and broadcast each parameter theta[..., j] over its row.
+    The model is the measured-fraction map of V times the ensemble-averaged
+    fringe, with a free phase offset.  ``t2_star`` fixes the envelope scale
+    (``math.inf`` disables the envelope, the right choice when only
+    homogeneous noise is present); passing ``None`` co-fits it.  This is
+    ``_fit_fringes`` on a stack of one fringe.
 
-    Returns ``(initial, bounds, curve, jacobian, param_names)``.
+    Parameters
+    ----------
+    data : FitData
+        Fractions scanned around t = 2*n*tau (absolute times).
+    n, tau : sequence geometry (n = 0, tau = 0 for Ramsey).
+    t2_star : float or None
+        Fixed envelope 1/e time, or None to co-fit it.
     """
+    (result,) = _fit_fringes(data.x[None], data.y[None], data.weight[None], n, [tau], t2_star)
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
+def _fit_fringes(x, y, weight, n: int, taus, t2_star) -> list:
+    """``fit_fringe`` of each row of the (B, N) stacks x, y and weight, ``taus`` their tau.
+
+    The start frequencies are ``dominant_frequency``'s, found for the whole
+    stack at once.  The visibility starts at the peak-to-peak of the fractions
+    and the phase at 0, or at pi where the data anti-correlate with the
+    phase-0 start.  A held T2* is checked once and fixes the envelope once;
+    ``None`` co-fits it, from half of each row's span.  Returns each row's
+    FitResult, or its FitError; a row's result is that of the row alone.
+    """
+    results = _frequencies(x, y)
+    rows = [b for b, start in enumerate(results) if not isinstance(start, FitError)]
+    if not rows:
+        return results
+    taus, delta0 = np.asarray(taus, dtype=float), [results[b] for b in rows]
+    if len(rows) < len(results):
+        x, y, weight, taus = x[rows], y[rows], weight[rows], taus[rows]
     co_fit = t2_star is None
-    tau = np.asarray(tau, dtype=float)
-    offset = 2 * n * (tau[:, None] if tau.ndim else tau)
+    offset = 2 * n * taus[:, None]
     visibility0 = np.minimum(np.maximum(y.max(axis=-1) - y.min(axis=-1), 0.05), 1.0)
     columns = [visibility0, delta0, np.zeros_like(visibility0)]
     names = ("visibility", "delta_prime", "phase")
@@ -707,11 +729,13 @@ def _fringe_problem(x, y, n: int, tau, t2_star, delta0):
         columns.append((x.max(axis=-1) - x.min(axis=-1)) / 2)
         names += ("t2_star",)
         bounds.append((1e-9, None))
+    elif not t2_star > 0:
+        raise DomainError(f"t2_star must be positive, got {t2_star}")
     initial = np.array(columns, dtype=float).T
     envelope = None if co_fit else _envelope(x - offset, t2_star, n)
 
-    def parameters(theta):  # numbers for one fringe, (B, 1) columns for a stack
-        values = theta if theta.ndim == 1 else theta.T[..., None]
+    def parameters(theta):  # each a (B, 1) column over its row
+        values = theta.T[..., None]
         return (*values[:3], values[3] if co_fit else t2_star)
 
     def curve(t, theta):
@@ -726,74 +750,16 @@ def _fringe_problem(x, y, n: int, tau, t2_star, delta0):
     start = start - start.mean(axis=-1, keepdims=True)
     overlap = np.matmul(centered[..., None, :], start[..., :, None])[..., 0, 0]
     initial[..., 2] = np.where(overlap < 0, math.pi, 0.0)
-    return initial, bounds, curve, jacobian, names
-
-
-def _fringe_model(n: int) -> str:
-    return {0: "ramsey", 1: "echo_fringe"}.get(n, "cpmg_fringe")
-
-
-def _held(result: FitResult, t2_star) -> FitResult:
-    """Report a held T2* among the fringe fit's parameters, with error 0."""
-    if t2_star is not None:
-        result.params["t2_star"] = float(t2_star)
-        result.errors["t2_star"] = 0.0
-        result.units["t2_star"] = "s (held fixed)"
-    return result
-
-
-def fit_fringe(
-    data: FitData,
-    n: int,
-    tau: float,
-    t2_star: float | None = math.inf,
-) -> FitResult:
-    """Fit a fraction-vs-time fringe for its visibility.
-
-    The model is the measured-fraction map of V times the ensemble-averaged
-    fringe, with a free phase offset.  ``t2_star`` fixes the envelope scale
-    (``math.inf`` disables the envelope, the right choice when only
-    homogeneous noise is present); passing ``None`` co-fits it.
-
-    Parameters
-    ----------
-    data : FitData
-        Fractions scanned around t = 2*n*tau (absolute times).
-    n, tau : sequence geometry (n = 0, tau = 0 for Ramsey).
-    t2_star : float or None
-        Fixed envelope 1/e time, or None to co-fit it.
-    """
-    initial, bounds, curve, jacobian, names = _fringe_problem(
-        data.x, data.y, n, tau, t2_star, dominant_frequency(data.x, data.y))
-    result = fit_curve(curve, data, initial, bounds=bounds, jacobian=jacobian,
-                       model=_fringe_model(n), param_names=names, units=_FRINGE_UNITS)
-    return _held(result, t2_star)
-
-
-def _fit_fringes(x, y, weight, n: int, taus, t2_star: float) -> list:
-    """``fit_fringe`` of each row of the (B, N) stacks x, y and weight, T2* held, in one stack.
-
-    ``taus`` are the rows' pulse spacings.  The weights are checked once, for
-    the whole stack; the start frequencies are ``dominant_frequency``'s, found
-    for the whole stack at once (``_frequencies``), and the rows that have one
-    are fitted in one ``_fit_stack`` call.  Returns one FitResult per row, each
-    equal to ``fit_fringe``'s bit for bit, or the FitError that ``fit_fringe``
-    raises for it; the others run on.
-    """
-    _check_weights(weight)
-    results = _frequencies(x, y)
-    rows = [b for b, start in enumerate(results) if not isinstance(start, FitError)]
-    if rows:
-        taus, delta0 = np.asarray(taus, dtype=float), [results[b] for b in rows]
-        if len(rows) < len(results):
-            x, y, weight, taus = x[rows], y[rows], weight[rows], taus[rows]
-        initial, bounds, curve, jacobian, names = _fringe_problem(
-            x, y, n, taus, t2_star, delta0)
-        stacked = _fit_stack(curve, jacobian, x, y, weight, initial,
-                             *_bound_arrays(bounds, len(names)), model=_fringe_model(n),
-                             param_names=names, units=_FRINGE_UNITS)
-        for b, result in zip(rows, stacked):
-            results[b] = result if isinstance(result, FitError) else _held(result, t2_star)
+    stacked = _fit_stack(curve, jacobian, x, y, weight, initial,
+                         *_bound_arrays(bounds, len(names)),
+                         model={0: "ramsey", 1: "echo_fringe"}.get(n, "cpmg_fringe"),
+                         param_names=names, units=_FRINGE_UNITS)
+    for b, result in zip(rows, stacked):
+        if not co_fit and isinstance(result, FitResult):  # the held T2*, with error 0
+            result.params["t2_star"] = float(t2_star)
+            result.errors["t2_star"] = 0.0
+            result.units["t2_star"] = "s (held fixed)"
+        results[b] = result
     return results
 
 
@@ -837,8 +803,8 @@ def fit_visibility_decay(data: FitData, n: int) -> FitResult:
 
 #: Model name -> fitter.  A fitter's signature states what the CLI must give
 #: it: its parameters without a default among ``tau`` and ``n`` are required
-#: (``--tau-s``, ``--n``), and ``t2_star`` takes ``--t2-star-s`` or
-#: ``--fit-t2-star``.
+#: (``--tau-s``, ``--n``), ``t2_star`` takes ``--t2-star-s`` or
+#: ``--fit-t2-star``, and any other of these flags is refused.
 FITTERS = {
     "rabi": fit_rabi,
     "t1": fit_t1,

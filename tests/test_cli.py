@@ -185,6 +185,36 @@ def test_fit_missing_sequence_options_exit_2(ramsey_run, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, flags, named", [
+    ("echo_fringe", ["--tau-s", "1e-3", "--n", "3"], "n: echo_fringe fits take no --n"),
+    ("ramsey", ["--tau-s", "1e-3"], "tau_s: ramsey fits take no --tau-s"),
+    ("rabi", ["--n", "2"], "n: rabi fits take no --n"),
+    ("rabi", ["--tau-s", "1e-3"], "tau_s: rabi fits take no --tau-s"),
+    ("rabi", ["--t2-star-s", "0.002"], "t2_star_s: rabi fits take no --t2-star-s"),
+    ("t1", ["--fit-t2-star"], "fit_t2_star: t1 fits take no --fit-t2-star"),
+    ("ramsey", ["--t2-star-s", "0.002", "--fit-t2-star"],
+     "argument --fit-t2-star: not allowed with argument --t2-star-s"),
+], ids=["fixed-n", "ramsey-tau", "rabi-n", "rabi-tau", "rabi-t2-star", "t1-fit-t2-star",
+        "both-t2-star-flags"])
+def test_fit_flag_the_model_does_not_take_exits_2_naming_it(ramsey_run, tmp_path, capsys,
+                                                            model, flags, named):
+    # A flag the fitter lacks, or fixes (echo_fringe has n = 1), would be dropped
+    # silently, and --fit-t2-star would win over --t2-star-s: each is refused.
+    out = tmp_path / "fit.json"
+    argv = ["fit", "--data", str(ramsey_run / "run.csv"), "--model", model, *flags,
+            "--output", str(out)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_held_t2_star_that_is_not_positive_exits_3(ramsey_run, capsys):
+    argv = ["fit", "--data", str(ramsey_run / "run.csv"), "--model", "ramsey",
+            "--t2-star-s", "-1"]
+    assert main(argv) == 3
+    assert "error: t2_star must be positive, got -1.0" in capsys.readouterr().err
+
+
 def stalled(fitter):
     """``fitter`` with every result reported as not converged."""
     def fit(points, **kwargs):
@@ -335,8 +365,13 @@ def _set(doc, dotted_key, value):
     ("time_grid_s", {"half_span_s": 1e308, "points": 3}, "time_grid_s.half_span_s: "),
     ("contrast", "x", "contrast: expected a number"),
     ("contrast", 10**400, "contrast: expected a finite number"),
+    ("contrast", 1.5, "contrast: contrast must lie in [0, 1], got 1.5"),
+    ("contrast", -0.25, "contrast: contrast must lie in [0, 1], got -0.25"),
+    ("homogeneous", {"sigmas": [{"value": -5.0, "angular": True}]},
+     "homogeneous.sigmas[0]: sigmas[0] must be >= 0, got -5.0 rad/s"),
 ], ids=["nan-grid-time", "infinite-delta", "overflowing-hz", "negative-seed",
-        "overflowing-span", "overflowing-half-span", "not-a-number", "huge-integer"])
+        "overflowing-span", "overflowing-half-span", "not-a-number", "huge-integer",
+        "contrast-above-one", "negative-contrast", "negative-sigmas-entry"])
 def test_simulate_config_value_exits_2_naming_key(tmp_path, capsys, key, value, message):
     doc = ramsey_doc()
     _set(doc, key, value)
@@ -552,6 +587,23 @@ def test_sweep_negative_row_sigma_exits_2_naming_the_row_before_the_first_scan(t
     assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert "error: sweep.rows.6.sigma_sig: sigma_sig must be >= 0, got -27.6 rad/s" in err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows, sigma_sig, named", [
+    ({"1": {"sigma_sig": {"value": 27.6, "angular": True}},
+      "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 1.3}}, None,
+     "sweep.rows.6.contrast: contrast must lie in [0, 1], got 1.3"),
+    (None, -27.6, "homogeneous.sigma_sig: sigma_sig must be >= 0, got -27.6 rad/s"),
+], ids=["row-contrast", "negative-sigma-sig"])
+def test_sweep_value_out_of_range_exits_2_naming_its_key_before_the_first_scan(
+        tmp_path, capsys, monkeypatch, rows, sigma_sig, named):
+    monkeypatch.setattr("dephasim.cli.scan_visibility", None)  # must fail before any scan
+    config = write_config(tmp_path / "cfg.json", sweep_doc(rows=rows, sigma_sig=sigma_sig))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
 
 

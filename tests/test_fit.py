@@ -32,7 +32,7 @@ from dephasim.analytic import (
     visibility_cpmg,
 )
 from dephasim.bloch import SequenceSpec
-from dephasim.errors import FitError
+from dephasim.errors import DomainError, FitError
 from dephasim.fit import (
     FITTERS,
     FitData,
@@ -563,6 +563,22 @@ def test_fixed_t2_star_is_reported_as_held():
     assert "fixed" in res.units["t2_star"]
 
 
+@pytest.mark.parametrize("t2_star", [0.0, -1.0, math.nan])
+def test_held_t2_star_that_is_not_positive_is_a_domain_error(t2_star):
+    xs = np.linspace(1e-4, 2e-3, 21)
+    frac = (1.0 - fringe_inhomogeneous(xs, 2 * math.pi * 2e3, T2_STAR, 0)) / 2.0
+    with pytest.raises(DomainError) as raised:
+        fit_fringe(weighted_points(xs, frac), n=0, tau=0.0, t2_star=t2_star)
+    assert str(raised.value) == f"t2_star must be positive, got {t2_star}"
+
+
+def test_flat_fringe_with_a_bad_t2_star_raises_its_fit_error_first():
+    # The start frequency is sought before the held T2* is checked.
+    xs = np.linspace(1e-4, 2e-3, 21)
+    with pytest.raises(FitError, match="flat spectrum"):
+        fit_fringe(weighted_points(xs, np.full(xs.size, 0.5)), n=0, tau=0.0, t2_star=-1.0)
+
+
 def test_echo_fringe_fits_complementary_counts_on_the_flipped_branch():
     # 1 - (1 - c*w)/2 is the same fringe counted from the other state: its fit starts at
     # phase pi and finds the same visibility instead of walking it down to 0.
@@ -835,26 +851,41 @@ FITTER_RECORDS = {
 }
 
 
+def stack_row(function, x, theta, b):
+    """Row b of a _fit_stack curve or Jacobian, as a function of that row's x and theta alone."""
+    def row(xx, th):
+        xs = xx if x.ndim == 1 else np.concatenate([x[:b], [xx], x[b + 1:]])
+        thetas = theta.copy()
+        thetas[b] = th
+        return function(xs, thetas)[b]
+    return row
+
+
 @pytest.mark.parametrize("model", sorted(FITTER_RECORDS))
 def test_each_fitter_hands_fit_curve_the_jacobian_of_its_curve(model, monkeypatch):
+    # Every fitter reaches _fit_stack (fit_curve and fit_fringe as stacks of one);
+    # each row's Jacobian is checked as a function of that row alone.
     calls = []
-    real_fit_curve = fit_module.fit_curve
+    real_fit_stack = fit_module._fit_stack
 
-    def spy(curve, data, initial, bounds=None, **kwargs):
-        result = real_fit_curve(curve, data, initial, bounds, **kwargs)
-        calls.append((curve, kwargs["jacobian"], data.x, np.asarray(initial, dtype=float),
-                      result))
-        return result
+    def spy(curve, jacobian, x, y, weight, initial, lo, hi, **kwargs):
+        results = real_fit_stack(curve, jacobian, x, y, weight, initial, lo, hi, **kwargs)
+        calls.append((curve, jacobian, x, np.asarray(initial, dtype=float), results))
+        return results
 
-    monkeypatch.setattr(fit_module, "fit_curve", spy)
+    monkeypatch.setattr(fit_module, "_fit_stack", spy)
     t, kwargs, truth = FITTER_RECORDS[model]
     rng = np.random.default_rng(61)
     FITTERS[model](points_from_counts(t, rng.binomial(2000, truth(t)), 2000), **kwargs)
-    (curve, jacobian, x, initial, result), = calls
-    fitted = np.array(list(result.params.values())[:initial.size])
-    angles = [2] if "phase" in result.params else []
-    for theta in (initial, fitted):
-        assert_jacobian_within_bound(curve, jacobian, x, theta, angles)
+    (stack_curve, stack_jacobian, stack_x, stack_initial, results), = calls
+    for b, result in enumerate(results):
+        curve = stack_row(stack_curve, stack_x, stack_initial, b)
+        jacobian = stack_row(stack_jacobian, stack_x, stack_initial, b)
+        x, initial = stack_x if stack_x.ndim == 1 else stack_x[b], stack_initial[b]
+        fitted = np.array(list(result.params.values())[:initial.size])
+        angles = [2] if "phase" in result.params else []
+        for theta in (initial, fitted):
+            assert_jacobian_within_bound(curve, jacobian, x, theta, angles)
 
 
 # ------------------------------------------------------------------ termination
@@ -953,15 +984,18 @@ def fit_fringe_alone(data, n, tau, t2_star):
 
 @st.composite
 def fringe_stacks(draw):
-    """1-9 fringes of one length, pulse number and held T2*, around their echo times.
+    """1-9 fringes of one length, pulse number and T2*, held or co-fitted (None).
 
-    Each fringe has its own pulse spacing, visibility, phase and trials; some are
-    flat (every count equal), which leaves no frequency to start from, and some
-    have no visibility at a few trials, whose fits can run to the iteration cap.
+    The fringes lie around their echo times.  Each has its own pulse spacing,
+    visibility, phase and trials; some are flat (every count equal), which leaves
+    no frequency to start from, and some have no visibility at a few trials,
+    whose fits can run to the iteration cap.  A co-fitted stack is drawn with
+    the envelope time T2_STAR.
     """
     n = draw(st.integers(0, 6))
     points = draw(st.integers(3, 31))
-    t2_star = draw(st.sampled_from([math.inf, T2_STAR]))
+    t2_star = draw(st.sampled_from([math.inf, T2_STAR, None]))
+    envelope_time = T2_STAR if t2_star is None else t2_star
     carrier = 2 * math.pi * draw(st.floats(300.0, 3000.0))
     fringes, taus = [], []
     for _ in range(draw(st.integers(1, 9))):
@@ -973,7 +1007,7 @@ def fringe_stacks(draw):
             successes = np.full(points, draw(st.integers(0, trials)))
         else:
             w = _fringe(t - 2 * n * tau, draw(st.sampled_from([0.0, 0.3, 0.9])), carrier,
-                        draw(st.floats(-math.pi, math.pi)), t2_star, n)
+                        draw(st.floats(-math.pi, math.pi)), envelope_time, n)
             successes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).binomial(
                 trials, (1.0 - w) / 2.0)
         fringes.append(points_from_counts(t, successes, trials))
