@@ -91,7 +91,8 @@ def _envelope(x, t2_star, n):
     Unchecked; t2_star is a number, or a (B, 1) column for a (B, N) stack of fringes.
     """
     kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
-    return (-1.0) ** n * (1.0 + kr**2) ** -1.5, -3.0 * np.arctan(kr)
+    with np.errstate(over="ignore"):  # kr**2 = inf gives alpha's correct limit, 0
+        return (-1.0) ** n * (1.0 + kr**2) ** -1.5, -3.0 * np.arctan(kr)
 
 
 def _columns(*columns):

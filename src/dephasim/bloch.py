@@ -63,9 +63,7 @@ class SequenceSpec:
         (2i - 1)*tau.  Ignored for Ramsey sequences.  A (B, 1) column of
         spacings describes B sequences that differ only in tau, evaluated
         together on a (B, N) stack of readout times (a visibility scan).
-    t : float or None
-        Readout time (final quarter-turn pulse) in seconds.  May be left None
-        when the readout time is supplied per point, e.g. by a time grid.
+        Readout times come per point, from a time grid.
     delta : float
         Set detuning in rad/s.
     """
@@ -73,7 +71,6 @@ class SequenceSpec:
     kind: str
     n: int
     tau: float = 0.0
-    t: float | None = None
     delta: float = 0.0
 
     def __post_init__(self):
@@ -81,18 +78,13 @@ class SequenceSpec:
             raise DomainError(
                 f"unknown sequence kind {self.kind!r}; expected one of {SEQUENCE_KINDS}"
             )
-        _check_timing(self.tau, self.n, self.t)
+        _check_timing(self.tau, self.n)
         if self.kind == "ramsey" and self.n != 0:
             raise DomainError(f"ramsey sequence requires n = 0, got n = {self.n}")
         if self.kind == "spin_echo" and self.n != 1:
             raise DomainError(f"spin_echo sequence requires n = 1, got n = {self.n}")
         if self.kind == "cpmg" and self.n < 1:
             raise DomainError(f"cpmg sequence requires n >= 1, got n = {self.n}")
-
-    @property
-    def earliest_readout(self) -> float:
-        """Time of the last half-turn pulse, (2n-1)*tau; 0 for Ramsey."""
-        return (2 * self.n - 1) * self.tau if self.n >= 1 else 0.0
 
     @property
     def echo_time(self) -> float:

@@ -6,12 +6,13 @@ its kind and default.  Every frequency is an object ``{"value": <number>,
 "angular": <bool>}``: hertz when angular is false (converted to rad/s once
 at load), rad/s when true.  Unknown or missing keys, values of the wrong
 kind, non-finite numbers, frequencies and grids that overflow, a negative
-``rng_seed``, ``sigma_sig`` or ``sigmas`` entry and a ``contrast`` outside
-[0, 1] are rejected with their dotted path.  A key given twice in one
-object, which ``json`` would resolve silently to its last value, is
-rejected by name.
+``rng_seed``, ``sigma_sig`` or ``sigmas`` entry, a count above 2**63 - 1 and a
+``contrast`` outside [0, 1] are rejected with their dotted path.  A key given
+twice in one object, which ``json`` would resolve silently to its last value,
+is rejected by name.
 
-Exit codes: 0 success; 2 usage, config, or data error; 3 domain-constraint
+Exit codes: 0 success; 2 usage, config, or data error, or a count too large
+to allocate (``MemoryError``); 3 domain-constraint
 violation (e.g. readout before the last pulse); 4 fit non-convergence under
 --strict.
 """
@@ -49,9 +50,9 @@ __all__ = ["main"]
 
 # One table per JSON object: key -> (kind, default), the default taken when the
 # key is absent (REQUIRED: it must be given).  Kinds: "number" (a finite float),
-# "fraction" (a number in [0, 1]), "integer", "count" (an integer >= 1), "bool",
-# "string", "object", "list", "frequency" (an object, returned in rad/s), "width"
-# (a frequency >= 0), None (read in code) or a table.
+# "fraction" (a number in [0, 1]), "integer", "count" (an integer in [1, 2**63 - 1]),
+# "bool", "string", "object", "list", "frequency" (an object, returned in rad/s),
+# "width" (a frequency >= 0), None (read in code) or a table.
 REQUIRED = object()
 _FREQUENCY = {"value": ("number", REQUIRED), "angular": ("bool", REQUIRED)}
 _SEQUENCE = {"kind": ("string", REQUIRED), "n": ("integer", None),  # None: 0 for ramsey, else 1
@@ -79,6 +80,7 @@ _CONFIG = {
 _SWEEP = {"tau_points": ("count", 10), "span_t2_prime": ("list", [0.15, 1.1]),
           "points_per_fringe": ("count", 31), "rows": ("object", {})}  # rows: n -> _SWEEP_ROW
 _SWEEP_ROW = {"sigma_sig": ("width", REQUIRED), "contrast": ("fraction", 1.0)}
+_COUNT_MAX = 2**63 - 1  # the largest int64: numpy takes counts as C longs
 _TYPES = {"integer": (int, "an integer"), "count": (int, "an integer"),
           "bool": (bool, "true/false"), "string": (str, "a string"),
           "object": (dict, "an object"), "list": (list, "a list")}
@@ -128,6 +130,8 @@ def _value(value, kind, where: str):
         raise ConfigError(where, f"expected {expected}, got {value!r}")
     if kind == "count" and value < 1:
         raise ConfigError(where, f"must be >= 1, got {value}")
+    if kind == "count" and value > _COUNT_MAX:
+        raise ConfigError(where, f"must be <= 2**63 - 1, got {value}")
     return _read(value, kind, where) if isinstance(kind, dict) else value
 
 
@@ -548,6 +552,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # a data or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a count too large for an array, e.g. a 10**15-point grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -37,12 +37,12 @@ in one binomial call: the same config and seed give bit-identical datasets.
 A visibility scan keys one such stream per pulse spacing, from
 ``(rng_seed, row index)``.
 
-A visibility scan is one (B, N) stack of fringes, one row per pulse spacing,
-from grid to fit.  One ``ensemble_probability`` call evaluates the whole stack,
-its sequence holding the spacings as a (B, 1) column; with a light shift, row b
-draws point by point from stream b, rows in order.  Each row then takes its
-counts in one binomial call from its own stream, and the fractions and weights
-go to the stacked fringe fit as (B, N) arrays.
+Sampling is written once, as ``_simulate``: a (B, N) stack of time grids and
+one stream per row give the (B, N) success counts, from one
+``ensemble_probability`` call (with a light shift, row b draws point by point
+from stream b, rows in order) and one binomial call per row from its stream.
+A dataset is a stack of one row; a visibility scan has one row per pulse
+spacing (a (B, 1) column in its sequence) and fits all its rows in one stack.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ __all__ = [
     "VisibilityPoint",
     "ensemble_probability",
     "simulate_dataset",
-    "binomial_dataset",
     "scan_visibility",
 ]
 
@@ -347,14 +346,14 @@ def _mean_cos(phase: np.ndarray):
     return np.mean(np.cos(reduced, out=reduced), dtype=np.float64)
 
 
-def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = None):
+def ensemble_probability(config: ExperimentConfig, t, rng):
     """Ensemble-averaged success probability at readout time t, or at each time of a grid t.
 
-    Averages cos(Phi) over ``draws`` light-shift realizations (default
-    ``config.noise_draws``) per time, drawn in grid order, through the float32
-    cosine of the float64-reduced phase (``_mean_cos``: within 3e-7 per draw for
-    |Phi| <= 2**30); with no inhomogeneous noise the one phase per time keeps the
-    exact float64 cosine, one array expression over the grid.  Homogeneous noise
+    Averages cos(Phi) over ``config.noise_draws`` light-shift realizations per
+    time, drawn in grid order, through the float32 cosine of the float64-reduced
+    phase (``_mean_cos``: within 3e-7 per draw for |Phi| <= 2**30); with no
+    inhomogeneous noise the one phase per time keeps the exact float64 cosine,
+    one array expression over the grid.  Homogeneous noise
     at n >= 1 multiplies that mean by the exact Gaussian average
     exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
     and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
@@ -369,7 +368,6 @@ def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = N
     if config.inhomogeneous is None:  # one deterministic phase per readout time
         mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     else:
-        draws = config.noise_draws if draws is None else draws
         taus = seq.tau[:, 0] if isinstance(seq.tau, np.ndarray) else [seq.tau]
         streams = rng if isinstance(rng, list) else [rng] * len(taus)
         mean_cos = np.empty(np.shape(t))
@@ -379,7 +377,8 @@ def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = N
                 # No name holds the sampler's (3, draws) buffer or a draw batch, so their
                 # pages are reused: holding the buffer through the cosine cost ~1.8x per point.
                 row[i] = _mean_cos(accumulated_phase(
-                    delta_eff - lightshift_sample(config.inhomogeneous, stream, size=draws),
+                    delta_eff - lightshift_sample(config.inhomogeneous, stream,
+                                                  size=config.noise_draws),
                     tau, seq.n, point))
     if config.homogeneous is not None and seq.n >= 1:
         mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
@@ -391,31 +390,30 @@ def ensemble_probability(config: ExperimentConfig, t, rng, draws: int | None = N
 # ------------------------------------------------------------- datasets
 
 
+def _simulate(config: ExperimentConfig, grids: np.ndarray, streams: list) -> np.ndarray:
+    """Success counts of a (B, N) stack of time grids, the one sampling step.
+
+    ``config.sequence.tau`` is a number or a (B, 1) column of spacings.  Row b
+    draws its light shift, then its counts in one binomial call, from ``streams[b]``.
+    """
+    if not grids.shape[-1]:
+        raise DomainError("config has an empty time grid")
+    p = ensemble_probability(config, grids, streams)
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
+        raise DomainError("probabilities must lie in [0, 1]")
+    cycles = int(config.cycles_per_point)
+    return np.array([stream.binomial(cycles, row) for stream, row in zip(streams, p)])
+
+
 def simulate_dataset(config: ExperimentConfig) -> FringeDataset:
     """Synthesize a binomially sampled dataset over the config's time grid.
 
-    One generator seeded by ``config.rng_seed`` draws the noise of every grid
-    point in grid order, then every success count in one binomial call.
+    ``_simulate`` on the grid as a stack of one row, from one stream seeded by
+    ``config.rng_seed``.
     """
-    if not config.time_grid:
-        raise DomainError("config has an empty time grid")
-    rng = np.random.default_rng(config.rng_seed)
-    p_hat = ensemble_probability(config, config.time_grid, rng)
-    return binomial_dataset(config.time_grid, p_hat, config.cycles_per_point, rng)
-
-
-def binomial_dataset(times, probabilities, cycles: int, rng) -> FringeDataset:
-    """Binomially sample known probabilities: the measurement-emulation step alone."""
-    times = np.asarray(times, dtype=float)
-    p = _check_probabilities(np.asarray(probabilities, dtype=float))
-    successes = rng.binomial(int(cycles), p)
-    return FringeDataset(times, successes, np.full(times.shape, int(cycles), dtype=np.int64))
-
-
-def _check_probabilities(p: np.ndarray) -> np.ndarray:
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
-        raise DomainError("probabilities must lie in [0, 1]")
-    return p
+    times = np.array(config.time_grid)
+    successes = _simulate(config, times[None, :], [np.random.default_rng(config.rng_seed)])[0]
+    return FringeDataset(times, successes, np.full(times.shape, config.cycles_per_point))
 
 
 # ------------------------------------------------------------- visibility
@@ -458,11 +456,10 @@ def scan_visibility(
 
     For each tau, the readout pulse time is scanned symmetrically around the
     echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods).  The
-    scan is one (B, N) stack, one row per tau, from grid to fit: one
-    ``ensemble_probability`` call evaluates every fringe (its pulse spacings a
-    column), each fringe draws its light shift and then its counts, in one
-    binomial call, from its own stream, and all fringes are fitted in one
-    stacked call, each with the result ``fit_fringe`` gives it alone.  Fit
+    scan is one (B, N) stack, one row per tau, from grid to fit: ``_simulate``
+    samples every fringe (its pulse spacings a column), each from its own
+    stream, and all fringes are fitted in one stacked call, each with the
+    result ``fit_fringe`` gives it alone.  Fit
     failures are reported per point (``ok = False``), never raised.
     """
     seq = config.sequence
@@ -476,13 +473,10 @@ def scan_visibility(
     streams = [np.random.default_rng(int(np.random.SeedSequence(
         entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0]))
         for j in range(taus.size)]
-    scan = replace(config, sequence=replace(seq, tau=taus[:, None], t=None), time_grid=())
+    scan = replace(config, sequence=replace(seq, tau=taus[:, None]), time_grid=())
     _check_increasing(grids)
-    if not points_per_fringe:  # as simulate_dataset refuses an empty grid
-        raise DomainError("config has an empty time grid")
-    p = _check_probabilities(ensemble_probability(scan, grids, streams))
+    successes = _simulate(scan, grids, streams)
     cycles = int(config.cycles_per_point)
-    successes = np.array([stream.binomial(cycles, row) for stream, row in zip(streams, p)])
     if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
         successes = cycles - successes
     fractions = successes / cycles

@@ -111,9 +111,9 @@ def test_acceptance_3_ramsey_ensemble_matches_quadrature_oracle():
     config = ExperimentConfig(
         sequence=SequenceSpec("ramsey", 0, delta=delta),
         inhomogeneous=LightShiftDistribution.from_t2_star(t2_star),
-        rng_seed=0)
+        noise_draws=100000, rng_seed=0)
     rng = np.random.default_rng(3003)
-    w_mc = np.array([w_from_fraction(ensemble_probability(config, t, rng, draws=100000))
+    w_mc = np.array([w_from_fraction(ensemble_probability(config, t, rng))
                      for t in grid])
     rms = float(np.sqrt(np.mean((w_mc - w_oracle) ** 2)))
 

@@ -87,25 +87,27 @@ def test_precession_preserves_w():
 
 def test_sequence_spec_kind_constraints():
     with pytest.raises(DomainError):
-        SequenceSpec("hahn", 1, tau=1e-3, t=2e-3)
+        SequenceSpec("hahn", 1, tau=1e-3)
     with pytest.raises(DomainError):
-        SequenceSpec("ramsey", 1, tau=1e-3, t=2e-3)
+        SequenceSpec("ramsey", 1, tau=1e-3)
     with pytest.raises(DomainError):
-        SequenceSpec("spin_echo", 2, tau=1e-3, t=4e-3)
+        SequenceSpec("spin_echo", 2, tau=1e-3)
     with pytest.raises(DomainError):
-        SequenceSpec("cpmg", 0, tau=1e-3, t=2e-3)
+        SequenceSpec("cpmg", 0, tau=1e-3)
     with pytest.raises(DomainError):
-        SequenceSpec("cpmg", 2, tau=0.0, t=4e-3)
+        SequenceSpec("cpmg", 2, tau=0.0)
 
 
 def test_sequence_spec_rejects_readout_before_last_pulse():
+    spec = SequenceSpec("cpmg", 3, tau=1e-3)
     with pytest.raises(DomainError):
-        SequenceSpec("cpmg", 3, tau=1e-3, t=4.9e-3)
-    spec = SequenceSpec("cpmg", 3, tau=1e-3, t=5e-3)  # exactly (2n-1)*tau is allowed
-    assert spec.earliest_readout == pytest.approx(5e-3)
+        accumulated_phase(spec.delta, spec.tau, spec.n, 4.9e-3)
+    t = 5e-3  # exactly (2n-1)*tau is allowed
+    accumulated_phase(spec.delta, spec.tau, spec.n, t)
+    assert (2 * spec.n - 1) * spec.tau == pytest.approx(5e-3)
     assert spec.echo_time == pytest.approx(6e-3)
     # pulses at (2i-1)*tau: read out at the last one, the last jump has no weight
-    assert jump_weights(spec.tau, spec.n, spec.t) == pytest.approx([1e-3, -1e-3, 0.0], abs=1e-15)
+    assert jump_weights(spec.tau, spec.n, t) == pytest.approx([1e-3, -1e-3, 0.0], abs=1e-15)
 
 
 # ---------------------------------------------------------------- ideal evolution

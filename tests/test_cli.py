@@ -356,6 +356,33 @@ def _set(doc, dotted_key, value):
     doc[name] = value
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "cycles_per_point", 2**70, "cycles_per_point: must be <= 2**63 - 1, got "),
+    ("sweep-n", "cycles_per_point", 2**70, "cycles_per_point: must be <= 2**63 - 1, got "),
+    # 10**15 values are petabytes: numpy refuses each array before allocating any of it.
+    ("simulate", "noise_draws", 10**15, "out of memory: "),
+    ("simulate", "time_grid_s.points", 10**15, "out of memory: "),
+    ("sweep-n", "noise_draws", 10**15, "out of memory: "),
+    ("sweep-n", "sweep.points_per_fringe", 10**15, "out of memory: "),
+    ("sweep-n", "sweep.tau_points", 10**15, "out of memory: "),
+])
+def test_oversized_count_exits_2_with_one_error_line(tmp_path, capsys, command, key, value,
+                                                      message):
+    if command == "simulate":
+        doc, args = ramsey_doc(), ["--output", str(tmp_path / "out" / "run")]
+    else:
+        doc, args = sweep_doc(sigma_sig=27.6), ["--n", "1", "--outdir", str(tmp_path / "out")]
+        doc["inhomogeneous"] = {"t2_star_s": 0.0014}
+    _set(doc, key, value)
+    config = write_config(tmp_path / "cfg.json", doc)
+    (tmp_path / "out").mkdir()
+    assert main([command, "--config", config, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("time_grid_s", [0.001, math.nan], "time_grid_s[1]: expected a finite number"),
     ("sequence.delta.value", math.inf, "sequence.delta.value: expected a finite number"),
@@ -620,9 +647,7 @@ def test_sweep_skips_a_row_whose_fitted_errors_are_zero(tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", doc)
     outdir = tmp_path / "out"
     outdir.mkdir()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the envelope underflows to 0
-        rc = main(["sweep-n", "--config", config, "--n", "4,2,1", "--outdir", str(outdir)])
+    rc = main(["sweep-n", "--config", config, "--n", "4,2,1", "--outdir", str(outdir)])
     err = capsys.readouterr().err
     assert rc == 0
     assert "Traceback" not in err and "error:" not in err

@@ -30,7 +30,6 @@ from dephasim.montecarlo import (
     VisibilityPoint,
     _fringe_grids,
     _mean_cos,
-    binomial_dataset,
     ensemble_probability,
     scan_visibility,
     simulate_dataset,
@@ -128,23 +127,24 @@ def test_no_noise_is_deterministic_and_exact():
     # Ramsey at zero detuning: perfect refocusing regardless of t
     cfg = ExperimentConfig(sequence=SequenceSpec("ramsey", 0, delta=0.0), time_grid=(1.0,))
     for t in (1e-4, 3.7e-3, 2.0):
-        assert ensemble_probability(cfg, t, rng, draws=1) == fraction_from_w(1.0)
+        assert ensemble_probability(replace(cfg, noise_draws=1), t, rng) == fraction_from_w(1.0)
     # CPMG against the closed form
     seq = SequenceSpec("cpmg", 3, tau=2e-3, delta=2 * math.pi * 400.0)
     cfg = ExperimentConfig(sequence=seq, time_grid=(0.0123,))
     t = 0.0123
     expected = fraction_from_w(oracle_w(seq, t))
-    assert ensemble_probability(cfg, t, rng, draws=1) == pytest.approx(expected, abs=1e-12)
+    one_draw = replace(cfg, noise_draws=1)
+    assert ensemble_probability(one_draw, t, rng) == pytest.approx(expected, abs=1e-12)
     assert ensemble_probability(cfg, t, rng) == pytest.approx(expected, abs=1e-12)
     # identical on repeated calls: no randomness consumed
-    assert ensemble_probability(cfg, t, rng, draws=1) == ensemble_probability(cfg, t, rng, draws=1)
+    assert ensemble_probability(one_draw, t, rng) == ensemble_probability(one_draw, t, rng)
 
 
 def test_invalid_readout_time_rejected():
     cfg = echo_config()
     rng = np.random.default_rng(1)
     with pytest.raises(DomainError):
-        ensemble_probability(cfg, 2e-3, rng, draws=1)   # before the refocusing pulse
+        ensemble_probability(replace(cfg, noise_draws=1), 2e-3, rng)  # before the refocusing pulse
     with pytest.raises(DomainError):
         ensemble_probability(cfg, 2e-3, rng)
 
@@ -253,7 +253,7 @@ def grid_configs(draw):
                        delta=draw(st.floats(-2 * math.pi * 2e3, 2 * math.pi * 2e3)))
     sigmas = draw(st.lists(st.floats(0.0, 400.0), min_size=max(n, 1), max_size=max(n, 1),
                            unique=True))
-    earliest = seq.earliest_readout
+    earliest = (2 * n - 1) * seq.tau
     offsets = draw(st.lists(st.floats(0.0, 4 * max(tau, 1e-3)), min_size=1, max_size=25,
                             unique=True))
     return ExperimentConfig(
@@ -293,11 +293,11 @@ def test_contrast_and_inversion_flow_through():
     rng = np.random.default_rng(3)
     t = 4e-4
     w = math.cos(seq.delta * t)
-    cfg = ExperimentConfig(sequence=seq, time_grid=(t,), contrast=0.6)
-    assert ensemble_probability(cfg, t, rng, draws=1) == \
+    cfg = ExperimentConfig(sequence=seq, time_grid=(t,), contrast=0.6, noise_draws=1)
+    assert ensemble_probability(cfg, t, rng) == \
         pytest.approx((1 - 0.6 * w) / 2, abs=1e-12)
-    cfg = ExperimentConfig(sequence=seq, time_grid=(t,), contrast=0.6, invert_fraction=True)
-    assert ensemble_probability(cfg, t, rng, draws=1) == \
+    cfg = replace(cfg, invert_fraction=True)
+    assert ensemble_probability(cfg, t, rng) == \
         pytest.approx((1 + 0.6 * w) / 2, abs=1e-12)
 
 
@@ -308,7 +308,8 @@ def test_zeeman_shift_offsets_the_carrier():
     rng = np.random.default_rng(4)
     t = 7e-4
     expected = (1 - math.cos((seq.delta - shift) * t)) / 2
-    assert ensemble_probability(cfg, t, rng, draws=1) == pytest.approx(expected, abs=1e-12)
+    assert ensemble_probability(replace(cfg, noise_draws=1), t, rng) == \
+        pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------ ensemble averages
@@ -554,19 +555,18 @@ def test_dataset_validation_and_config_invariants():
         simulate_dataset(ExperimentConfig(sequence=seq))   # empty grid
 
 
-def test_binomial_dataset_rejects_bad_probabilities():
-    rng = np.random.default_rng(0)
-    with pytest.raises(DomainError):
-        binomial_dataset([0.0], [1.2], 100, rng)
-    with pytest.raises(DomainError):
-        binomial_dataset([0.0], [math.nan], 100, rng)  # an overflowed phase
-    ds = binomial_dataset([0.0, 1.0], [0.2, 0.8], 100, rng)
+def test_simulate_dataset_rejects_bad_probabilities():
+    cfg = ExperimentConfig(sequence=SequenceSpec("ramsey", 0, delta=1e308), time_grid=(10.0,))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        simulate_dataset(cfg)  # an overflowed phase
+    ds = simulate_dataset(replace(cfg, sequence=SequenceSpec("ramsey", 0), time_grid=(0.0, 1.0)))
     assert np.all(ds.trials == 100)
 
 
 def test_csv_round_trip_and_malformed_rows(tmp_path):
     rng = np.random.default_rng(6)
-    ds = binomial_dataset(np.linspace(0, 1e-3, 7), np.full(7, 0.4), 100, rng)
+    ds = FringeDataset(np.linspace(0, 1e-3, 7), rng.binomial(100, np.full(7, 0.4)),
+                       np.full(7, 100))
     path = tmp_path / "fringe.csv"
     ds.write_csv(path)
     back = FringeDataset.read_csv(path)
@@ -605,7 +605,8 @@ def test_csv_rejects_empty_and_non_finite_rows(tmp_path, row):
 
 def test_json_round_trip():
     rng = np.random.default_rng(7)
-    ds = binomial_dataset(np.linspace(0, 1e-3, 5), np.full(5, 0.3), 80, rng)
+    ds = FringeDataset(np.linspace(0, 1e-3, 5), rng.binomial(80, np.full(5, 0.3)),
+                       np.full(5, 80))
     back = FringeDataset.from_json(ds.to_json())
     assert np.array_equal(back.times, ds.times)
     assert np.array_equal(back.successes, ds.successes)
@@ -739,7 +740,7 @@ def scan_visibility_reference(config, tau_grid, points_per_fringe=31):
     for j, (tau, grid) in enumerate(zip(taus, _fringe_grids(config, taus, points_per_fringe))):
         sub_seed = int(np.random.SeedSequence(
             entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0])
-        dataset = simulate_dataset(replace(config, sequence=replace(seq, tau=tau, t=None),
+        dataset = simulate_dataset(replace(config, sequence=replace(seq, tau=tau),
                                            time_grid=tuple(grid), rng_seed=sub_seed))
         if config.invert_fraction:
             dataset = FringeDataset(dataset.times, dataset.trials - dataset.successes,
