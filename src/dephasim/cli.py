@@ -6,7 +6,8 @@ its kind and default.  Every frequency is an object ``{"value": <number>,
 "angular": <bool>}``: hertz when angular is false (converted to rad/s once
 at load), rad/s when true.  Unknown or missing keys, values of the wrong
 kind, non-finite numbers, frequencies and grids that overflow, a negative
-``rng_seed``, ``sigma_sig`` or ``sigmas`` entry, a count above 2**63 - 1 and a
+``rng_seed``, ``sigma_sig`` or ``sigmas`` entry, a count above 2**63 - 1 or
+one whose array numpy would refuse as too big (``_COUNT_BYTES``), and a
 ``contrast`` outside [0, 1] are rejected with their dotted path.  A key given
 twice in one object, which ``json`` would resolve silently to its last value,
 is rejected by name.
@@ -50,7 +51,8 @@ __all__ = ["main"]
 
 # One table per JSON object: key -> (kind, default), the default taken when the
 # key is absent (REQUIRED: it must be given).  Kinds: "number" (a finite float),
-# "fraction" (a number in [0, 1]), "integer", "count" (an integer in [1, 2**63 - 1]),
+# "fraction" (a number in [0, 1]), "integer", "count" (an integer in [1, 2**63 - 1],
+# and for the keys of _COUNT_BYTES no larger than numpy's array limit allows),
 # "bool", "string", "object", "list", "frequency" (an object, returned in rad/s),
 # "width" (a frequency >= 0), None (read in code) or a table.
 REQUIRED = object()
@@ -81,6 +83,11 @@ _SWEEP = {"tau_points": ("count", 10), "span_t2_prime": ("list", [0.15, 1.1]),
           "points_per_fringe": ("count", 31), "rows": ("object", {})}  # rows: n -> _SWEEP_ROW
 _SWEEP_ROW = {"sigma_sig": ("width", REQUIRED), "contrast": ("fraction", 1.0)}
 _COUNT_MAX = 2**63 - 1  # the largest int64: numpy takes counts as C longs
+_ARRAY_MAX_BYTES = int(np.iinfo(np.intp).max)  # numpy refuses a larger array ("array is too big")
+#: Bytes per unit of each count that sizes an array: 3 float32 uniforms per light-shift
+#: draw, one float64 per grid time.  A count whose array numpy would refuse is refused here.
+_COUNT_BYTES = {"noise_draws": 12, "time_grid_s.points": 8, "sweep.tau_points": 8,
+                "sweep.points_per_fringe": 8}
 _TYPES = {"integer": (int, "an integer"), "count": (int, "an integer"),
           "bool": (bool, "true/false"), "string": (str, "a string"),
           "object": (dict, "an object"), "list": (list, "a list")}
@@ -132,6 +139,10 @@ def _value(value, kind, where: str):
         raise ConfigError(where, f"must be >= 1, got {value}")
     if kind == "count" and value > _COUNT_MAX:
         raise ConfigError(where, f"must be <= 2**63 - 1, got {value}")
+    if kind == "count" and value * _COUNT_BYTES.get(where, 0) > _ARRAY_MAX_BYTES:
+        size = _COUNT_BYTES[where]
+        raise ConfigError(where, f"must be <= {_ARRAY_MAX_BYTES // size} ({size} bytes each, "
+                                 f"numpy's array limit is {_ARRAY_MAX_BYTES} bytes), got {value}")
     return _read(value, kind, where) if isinstance(kind, dict) else value
 
 
@@ -261,6 +272,12 @@ def _parse_sweep_section(doc: dict) -> dict:
                        and 0 < x <= sys.float_info.max for x in span)):
         raise ConfigError("sweep.span_t2_prime",
                           f"expected [low, high] positive multiples of T2', got {span!r}")
+    grid_bytes = 8 * sweep["tau_points"] * sweep["points_per_fringe"]
+    if grid_bytes > _ARRAY_MAX_BYTES:  # a scan's (tau_points, points_per_fringe) float64 grid
+        raise ConfigError("sweep.points_per_fringe",
+                          f"with tau_points {sweep['tau_points']}, a scan's time grid of "
+                          f"{grid_bytes} bytes exceeds numpy's array limit of "
+                          f"{_ARRAY_MAX_BYTES} bytes")
     rows = {}
     for key, row in sweep["rows"].items():
         n = int(key) if key.isascii() and key.isdigit() and len(key) < 20 else None

@@ -21,21 +21,28 @@ by drawing successes from a binomial with ``cycles_per_point`` trials.  A
 visibility scan of an ``invert_fraction`` config fits the complementary
 counts, the same fringe in the default readout.
 
-Kernel precision: over light-shift draws, each phase is reduced to [-pi, pi]
-in float64 and its cosine taken in float32 (numpy's SIMD cosine), then the
-cosines are averaged in float64.  Per draw, and so in the mean, this is within
-3e-7 of the float64 cosine for |Phi| <= 2**30 (the Monte Carlo standard error
-of the mean at a dephased point is about 5e-3 at 20 000 draws); a batch with a
-larger or non-finite phase takes the float64 cosine.  A config without
-inhomogeneous noise is one deterministic phase per time, exact float64, and
-a dataset evaluates its whole grid in one array call.
+Kernel precision: with the light shift delta0 - L/eta, phi = a + L*x/eta,
+the carrier phase a = (delta_eff - delta0)*x in float64, so the mean of cos(phi)
+is cos(a)*Re(chi) - sin(a)*Im(chi) with chi(x) = E[exp(i*L*x/eta)], the
+characteristic function of the shifted-Gamma law.  Each time estimates chi
+from float32 draws: L (``noise.gamma3_log``), theta = L*x/eta, cos(theta) and
+sin(theta) are float32 (``_phasor``), and the two means are accumulated in
+float64.  Per draw this is within 2**-23*(1 + (x/eta)*(2 + 6|L|)) of the
+float64 values, and the mean within about 2**-23*(1 + 20*x/eta) (E|L| = 3):
+5e-6 at x/eta = 2.08, the end of the README Ramsey grid, against a Monte
+Carlo standard error of the mean of about 5e-3 at a dephased point and
+20 000 draws.
+Where float32 theta could overflow (|x/eta| > 2**121, or not finite), theta,
+cosine and sine are float64.  A config without inhomogeneous noise is one
+deterministic phase per time, exact float64, and a dataset evaluates its
+whole grid in one array call.
 
 Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid point
-(still drawn point by point) come from it in grid order, then all success counts
-in one binomial call: the same config and seed give bit-identical datasets.
-A visibility scan keys one such stream per pulse spacing, from
-``(rng_seed, row index)``.
+(still drawn point by point, 1.5 raw 64-bit words per draw) come from it in
+grid order, then all success counts in one binomial call: the same config and
+seed give bit-identical datasets.  A visibility scan keys one such stream per
+pulse spacing, from ``(rng_seed, row index)``.
 
 Sampling is written once, as ``_simulate``: a (B, N) stack of time grids and
 one stream per row give the (B, N) success counts, from one
@@ -68,7 +75,7 @@ from .noise import (
     T2_STAR_PER_ETA,
     HomogeneousNoiseSpec,
     LightShiftDistribution,
-    lightshift_sample,
+    gamma3_log,
 )
 
 __all__ = [
@@ -96,9 +103,10 @@ class ExperimentConfig:
     cycles_per_point : int
         Binomial trials per time-grid point (measurement statistics).
     noise_draws : int
-        Light-shift draws averaged per probability estimate (the jump
-        channel is averaged exactly); controls oracle accuracy,
-        independent of cycles_per_point.
+        Light-shift draws per probability estimate, from which each time
+        estimates the characteristic function chi(x) in float32 (3 float32
+        uniforms, 12 bytes, per draw; the jump channel is averaged exactly);
+        controls oracle accuracy, independent of cycles_per_point.
     time_grid : tuple of float
         Readout times in seconds, strictly increasing.
     rng_seed : int
@@ -315,46 +323,37 @@ class FringeDataset:
 # ---------------------------------------------------------- noise averages
 
 
-# Phases within +-2**30 rad go through the float32 cosine after reduction.
-_FLOAT32_PHASE_LIMIT = 2.0**30
-# 2*pi in two parts: _TWO_PI_HI has 24 significant bits, so k*_TWO_PI_HI is
-# exact for the |k| < 2**28 turns below the limit, and only the small second
-# product rounds.  What remains is 2*pi's own float64 rounding, |Phi|*4e-17.
-_TWO_PI_HI = float(np.float32(2 * math.pi))
-_TWO_PI_LO = 2 * math.pi - _TWO_PI_HI
+def _phasor(log_g: np.ndarray, s: float):
+    """cos(theta) and sin(theta) for each draw, theta = L*s, with L the ``gamma3_log`` draws.
 
-
-def _mean_cos(phase: np.ndarray):
-    """Mean of cos(phase) over a batch of draws, through a float32 cosine.
-
-    Each phase is reduced in place to r = phase - 2*pi*rint(phase/(2*pi)),
-    |r| <= pi, in float64; cos(r) is taken in float32 and averaged in float64.
-    Per draw the error against float64 ``np.cos`` is at most 2**-23 (rounding
-    r to float32) + 2 ulp (the float32 cosine) + |phase|*4e-17 (the reduction),
-    below 3e-7 for |phase| <= 2**30.  An empty, non-finite or larger batch gets
-    ``np.mean(np.cos(phase))``, with its value and warnings unchanged.
+    ``log_g`` is float32 and is overwritten.  theta, its cosine and its sine
+    are taken in float32: per draw this is within 2**-23*(1 + |s|*(2 + 6|L|))
+    of the float64 values of the exact L (``tests/test_montecarlo.py`` derives
+    the bound), so the error grows with s = x/eta.  |L| <= 72 ln 2 < 2**6, so
+    theta fits float32 for |s| <= 2**121; a larger or non-finite s takes
+    theta, cosine and sine in float64.
     """
-    limit = _FLOAT32_PHASE_LIMIT
-    if not (phase.size and phase.max() <= limit and phase.min() >= -limit):
-        return np.mean(np.cos(phase))
-    turns = phase * (1.0 / (2 * math.pi))
-    np.rint(turns, out=turns)
-    phase -= turns * _TWO_PI_HI
-    turns *= _TWO_PI_LO
-    phase -= turns
-    reduced = phase.astype(np.float32)
-    return np.mean(np.cos(reduced, out=reduced), dtype=np.float64)
+    if abs(s) <= 2.0**121:
+        theta = np.multiply(log_g, np.float32(s), out=log_g)
+    else:
+        theta = log_g.astype(np.float64) * s
+    cos = np.cos(theta)
+    return cos, np.sin(theta, out=theta)
 
 
 def ensemble_probability(config: ExperimentConfig, t, rng):
     """Ensemble-averaged success probability at readout time t, or at each time of a grid t.
 
-    Averages cos(Phi) over ``config.noise_draws`` light-shift realizations per
-    time, drawn in grid order, through the float32 cosine of the float64-reduced
-    phase (``_mean_cos``: within 3e-7 per draw for |Phi| <= 2**30); with no
-    inhomogeneous noise the one phase per time keeps the exact float64 cosine,
-    one array expression over the grid.  Homogeneous noise
-    at n >= 1 multiplies that mean by the exact Gaussian average
+    With a light shift delta0 - L/eta, the phase is Phi = a + theta with the
+    carrier phase a = ``accumulated_phase(delta_eff - delta0, ...)`` = (delta_eff -
+    delta0)*x, float64 and one per time, and theta = L*x/eta.  So
+    mean cos(Phi) = cos(a)*Re(chi) - sin(a)*Im(chi), where chi(x) = E[exp(i*L*x/eta)]
+    = (1 + i*x/eta)**-3 is the characteristic function of the shifted-Gamma law.
+    Each time estimates chi from ``config.noise_draws`` float32 draws of L
+    (``gamma3_log``), drawn in grid order: the cosines and sines of ``_phasor``,
+    averaged in float64.  With no inhomogeneous noise the one phase per time
+    keeps the exact float64 cosine, one array expression over the grid.
+    Homogeneous noise at n >= 1 multiplies that mean by the exact Gaussian average
     exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
     and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
 
@@ -368,18 +367,18 @@ def ensemble_probability(config: ExperimentConfig, t, rng):
     if config.inhomogeneous is None:  # one deterministic phase per readout time
         mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
     else:
-        taus = seq.tau[:, 0] if isinstance(seq.tau, np.ndarray) else [seq.tau]
-        streams = rng if isinstance(rng, list) else [rng] * len(taus)
-        mean_cos = np.empty(np.shape(t))
-        for row, stream, tau, times in zip(mean_cos.reshape(len(taus), -1), streams, taus,
-                                           np.reshape(t, (len(taus), -1))):
-            for i, point in enumerate(times):
-                # No name holds the sampler's (3, draws) buffer or a draw batch, so their
-                # pages are reused: holding the buffer through the cosine cost ~1.8x per point.
-                row[i] = _mean_cos(accumulated_phase(
-                    delta_eff - lightshift_sample(config.inhomogeneous, stream,
-                                                  size=config.noise_draws),
-                    tau, seq.n, point))
+        dist = config.inhomogeneous
+        x = accumulated_phase(1.0, seq.tau, seq.n, t)  # t - 2*n*tau, timing rule checked
+        carrier = (delta_eff - dist.delta0) * x
+        rows = len(seq.tau) if isinstance(seq.tau, np.ndarray) else 1
+        streams = rng if isinstance(rng, list) else [rng] * rows
+        chi = np.empty(np.shape(t), dtype=complex)
+        for row, stream, scaled in zip(chi.reshape(rows, -1), streams,
+                                       np.reshape(x / dist.eta, (rows, -1))):
+            for i, s in enumerate(scaled.tolist()):
+                cos, sin = _phasor(gamma3_log(stream, config.noise_draws), s)
+                row[i] = complex(np.mean(cos, dtype=np.float64), np.mean(sin, dtype=np.float64))
+        mean_cos = np.cos(carrier) * chi.real - np.sin(carrier) * chi.imag
     if config.homogeneous is not None and seq.n >= 1:
         mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
                                                config.homogeneous.sigmas)

@@ -12,11 +12,12 @@ Two noise channels drive the loss of fringe contrast:
   Gaussians with standard deviations sigma_i, whose quadrature sum
   sigma_sig must be finite.
 
-The light shift is drawn by inversion, three uniforms and one logarithm per
-draw (``lightshift_sample``), from an explicitly passed numpy Generator;
-nothing here touches global RNG state.  The jumps enter a pulse sequence only
-through one weighted sum, a single Gaussian, which the ensemble average takes
-in closed form (``montecarlo.ensemble_probability``) instead of drawing it.
+The light shift is drawn by inversion, three float32 uniforms and one
+float32 logarithm per draw (``gamma3_log``, and ``lightshift_sample`` on top
+of it), from an explicitly passed numpy Generator; nothing here touches
+global RNG state.  The jumps enter a pulse sequence only through one weighted
+sum, a single Gaussian, which the ensemble average takes in closed form
+(``montecarlo.ensemble_probability``) instead of drawing it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import DomainError
 __all__ = [
     "LightShiftDistribution",
     "HomogeneousNoiseSpec",
+    "gamma3_log",
     "lightshift_pdf",
     "lightshift_sample",
 ]
@@ -84,27 +86,50 @@ def lightshift_pdf(dist: LightShiftDistribution, delta_ls) -> np.ndarray | float
     return float(out) if out.ndim == 0 else out
 
 
+def gamma3_log(rng: np.random.Generator, size: int) -> np.ndarray:
+    """float32 L = log((1 - U1)(1 - U2)(1 - U3)) for ``size`` draws, so G = -L/eta ~ Gamma(3, eta).
+
+    A sum of three exponential(eta) variates is Gamma(3, eta), and each
+    exponential is -log(1 - U)/eta for a uniform U.  The U are numpy's own
+    float32 uniforms, (w >> 8) * 2**-24 for each 32-bit half w of the
+    generator's raw 64-bit words, low half first, taken in bulk from
+    ``rng.bit_generator.random_raw`` (read as little-endian halves, so the
+    result does not depend on byte order; MT19937's raw words are 32-bit
+    values, one w each): U1 is the first ``size`` of them, then U2 and U3,
+    bit for bit ``rng.random(3 * size, dtype=np.float32)``, and for an even
+    3 * size the generator is left where that call leaves it.
+    1 - U = m * 2**-24 with the integer m = 2**24 - (w >> 8) in [1, 2**24] is
+    exact in float32, so the product is at least 2**-72, a normal float32,
+    and L lies in [-72 ln 2, 0]: U = 0 gives L = 0, the largest uniforms
+    L = log(2**-72).  The words are converted to float32 in place (one
+    buffer per call), and the product and logarithm run in its first third.
+    """
+    raw = rng.bit_generator.random_raw
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        halves = raw(3 * size).astype(np.uint32)
+    else:
+        halves = np.asarray(raw((3 * size + 1) // 2), dtype="<u8").view("<u4")[:3 * size]
+    halves >>= 8
+    np.subtract(np.uint32(1 << 24), halves, out=halves)
+    factors = halves.view(np.float32)
+    np.copyto(factors, halves, casting="unsafe")  # element by element, in place
+    log_g = factors[:size]  # the product of the m, then 2**-72: it rounds as that of the 1 - U
+    log_g *= factors[size:2 * size]
+    log_g *= factors[2 * size:]
+    log_g *= np.float32(2.0**-72)
+    return np.log(log_g, out=log_g)
+
+
 def lightshift_sample(
     dist: LightShiftDistribution, rng: np.random.Generator, size: int | None = None
 ):
-    """Draw light-shift values delta0 + G, with G ~ Gamma(shape 3, rate eta), by inversion.
+    """Draw light-shift values delta0 - L/eta, with L from ``gamma3_log``, in float64.
 
-    A sum of three exponential(eta) variates is Gamma(3, eta), and each
-    exponential is -log(1 - U)/eta for a uniform U, so
-    G = -log((1 - U1)(1 - U2)(1 - U3))/eta: three uniforms and one
-    logarithm per draw.  ``rng.random`` gives U in [0, 1), so every factor
-    lies in (0, 1] and the product is at least 2**-159; the logarithm is
-    always finite, and U = 0 gives exactly delta0.  The uniforms come from
-    one ``rng.random((3, size))`` call (contiguous rows) and the product,
-    logarithm and scaling run in place in its first row.  Returns a float
-    for ``size=None``, else an array of the given length.
+    G = -L/eta ~ Gamma(shape 3, rate eta), so every draw lies in
+    [delta0, delta0 + 72 ln 2/eta]; U = 0 gives exactly delta0.  Returns a
+    float for ``size=None``, else an array of the given length.
     """
-    u = rng.random((3, 1 if size is None else size))
-    np.subtract(1.0, u, out=u)
-    g = u[0]
-    g *= u[1]
-    g *= u[2]
-    np.log(g, out=g)
+    g = gamma3_log(rng, 1 if size is None else size).astype(np.float64)
     g *= -1.0 / dist.eta
     g += dist.delta0
     return float(g[0]) if size is None else g

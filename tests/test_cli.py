@@ -383,6 +383,64 @@ def test_oversized_count_exits_2_with_one_error_line(tmp_path, capsys, command, 
     assert list((tmp_path / "out").iterdir()) == []
 
 
+# 2**62 of each is an array of more than 2**63 - 1 bytes, which numpy refuses
+# before allocating any of it ("array is too big").
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "noise_draws"),
+    ("simulate", "time_grid_s.points"),
+    ("sweep-n", "noise_draws"),
+    ("sweep-n", "sweep.points_per_fringe"),
+    ("sweep-n", "sweep.tau_points"),
+])
+def test_count_whose_array_numpy_refuses_exits_2_naming_the_key(tmp_path, capsys, command, key):
+    if command == "simulate":
+        doc, args = ramsey_doc(), ["--output", str(tmp_path / "out" / "run")]
+    else:
+        doc, args = sweep_doc(sigma_sig=27.6), ["--n", "1", "--outdir", str(tmp_path / "out")]
+        doc["inhomogeneous"] = {"t2_star_s": 0.0014}
+    _set(doc, key, 2**62)
+    config = write_config(tmp_path / "cfg.json", doc)
+    (tmp_path / "out").mkdir()
+    assert main([command, "--config", config, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: must be <= ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"got {2**62}")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_largest_count_numpy_allows_is_read():
+    # noise_draws sizes 3 float32 uniforms per draw, 12 bytes; the config
+    # stage allocates none of them
+    largest = (2**63 - 1) // 12
+    doc = ramsey_doc()
+    doc["noise_draws"] = largest
+    assert build_experiment(doc).noise_draws == largest
+    doc["noise_draws"] = largest + 1
+    with pytest.raises(ConfigError, match=f"noise_draws: must be <= {largest} "):
+        build_experiment(doc)
+
+
+def test_scan_grid_numpy_refuses_is_named():
+    # each count alone sizes a small array; together they size one scan's grid
+    sweep = {"tau_points": 2**32, "points_per_fringe": 2**32}
+    with pytest.raises(ConfigError, match="sweep.points_per_fringe: with tau_points 4294967296"):
+        _parse_sweep_section({"sweep": sweep})
+
+
+def test_simulate_at_a_vanishing_t2_star_exits_0_without_warnings(tmp_path, capsys):
+    # At T2* = 1e-300 s, x/eta reaches 2e297: L*x/eta overflows float32, so the
+    # kernel takes theta in float64.  Any warning is an error here.
+    doc = ramsey_doc()
+    doc["inhomogeneous"] = {"t2_star_s": 1e-300}
+    config = write_config(tmp_path / "cfg.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", config, "--output", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    fractions = FringeDataset.read_csv(tmp_path / "run.csv").fractions
+    assert fractions.size == 120 and np.all((fractions >= 0) & (fractions <= 1))
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("time_grid_s", [0.001, math.nan], "time_grid_s[1]: expected a finite number"),
     ("sequence.delta.value", math.inf, "sequence.delta.value: expected a finite number"),

@@ -29,13 +29,13 @@ from dephasim.montecarlo import (
     FringeDataset,
     VisibilityPoint,
     _fringe_grids,
-    _mean_cos,
+    _phasor,
     ensemble_probability,
     scan_visibility,
     simulate_dataset,
 )
-from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution
-from test_noise import sample_jump_phase
+from dephasim.noise import HomogeneousNoiseSpec, LightShiftDistribution, gamma3_log
+from test_noise import ConstantWords, sample_jump_phase
 
 ETA = 1.4e-3 / 0.97      # light-shift rate giving the measured 1.4 ms envelope time
 
@@ -58,53 +58,104 @@ def echo_config(**overrides):
     return ExperimentConfig(**base)
 
 
-# ------------------------------------------------------------ cosine kernel
+# ------------------------------------------------ characteristic-function kernel
 
-# Per-draw bound of the float32 cosine kernel against float64 np.cos, fixed
-# before any run.  Rounding the reduced phase |r| <= pi < 4 to float32 costs
-# at most half an ulp, 2**-23 = 1.19e-7; numpy's float32 cosine is within
-# 2 ulp of a value in [-1, 1], 2 * 2**-24 = 1.19e-7; the float64 reduction
-# leaves |Phi| * 4e-17, 4.3e-8 at |Phi| = 2**30.  Sum 2.8e-7, bound 3e-7.
-KERNEL_BOUND = 3e-7
+
+def kernel_bound(s, log_g):
+    """Per-draw bound of ``_phasor`` against float64 cos and sin of the exact L*s.
+
+    Fixed before any run.  With u = 2**-24, float32's unit roundoff, and L the
+    exact log of the product of three factors 1 - U (each exact in float32):
+    the product rounds twice, relative 2u, which moves its log by at most
+    1.0001 * 2u; numpy's float32 log is within 4 ulp of its result, at most
+    4 * 2u * |L|; rounding s to float32 and rounding theta = L*s cost relative
+    u each, 2u * |L*s|.  So |theta - L*s| <= 2u * |s| * (1.0001 + 5.0001 |L|).
+    numpy's float32 cosine and sine are within 2 ulp of a value in [-1, 1],
+    2 * u = 2u, and both are 1-Lipschitz.  Sum 2u * (1 + |s| * (1.0001 +
+    5.0001 |L|)); the bound 2u * (1 + |s| * (2 + 6 |L|)) also covers the
+    float64 reference's own rounding.  It grows with s = x/eta: 3.0e-5 at
+    s = 2.08 and |L| = 20.
+    """
+    return 2.0**-23 * (1 + np.abs(s) * (2 + 6 * np.abs(log_g)))
+
+
+def reference_phasor(log_g, s):
+    """cos and sin of theta = L*s in float64, for float64 L."""
+    theta = log_g * s
+    return np.cos(theta), np.sin(theta)
 
 
 def test_float32_kernel_within_its_bound_per_draw():
-    rng = np.random.default_rng(2024)
-    scales = [2.0**e for e in (0, 2, 5, 10, 20, 26, 29, 30)]
-    uniform = np.concatenate([rng.uniform(-s, s, 2000) for s in scales])
-    turns = 2 * np.pi * np.array([1.0, 2.0, 7.0, 1000.0, 123457.0, 2.0**26, -3.0, -2.0**27])
-    edges = np.concatenate([turns, np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf)])
-    special = np.array([0.0, -0.0, np.pi, -np.pi, np.pi / 2, 2.0**30, -(2.0**30)])
-    phases = np.concatenate([uniform, edges, special])
-    assert np.max(np.abs(phases)) <= 2.0**30
-    got = np.array([_mean_cos(np.array([phi])) for phi in phases])
-    assert np.max(np.abs(got - np.cos(phases))) <= KERNEL_BOUND
-    # and over a whole batch (reduced in place, so hand over a copy)
-    assert abs(_mean_cos(phases.copy()) - np.mean(np.cos(phases))) <= KERNEL_BOUND
+    size = 10**6
+    u = np.random.default_rng(2024).random(3 * size, dtype=np.float32).reshape(3, size)
+    exact = np.log((1 - u[0].astype(float)) * (1 - u[1]) * (1 - u[2]))
+    # the README grid's end (2.08), beyond it, negative x, the largest float32
+    # s, and the float64 branch past it
+    for s in (0.035, 0.5, 2.08, 20.0, -7.3, 1e3, 2.0**121, 2.0**122):
+        cos, sin = _phasor(gamma3_log(np.random.default_rng(2024), size), s)
+        assert cos.dtype == sin.dtype == (np.float32 if abs(s) <= 2.0**121 else np.float64)
+        cos_ref, sin_ref = reference_phasor(exact, s)
+        bound = kernel_bound(s, exact)
+        assert np.all(np.abs(cos - cos_ref) <= bound)
+        assert np.all(np.abs(sin - sin_ref) <= bound)
+    # the extreme uniforms: every factor 1 (L = 0), every factor 2**-24
+    # (L = -72 ln 2), and draws with two or one factors 2**-24
+    for word, smallest in ((0, [0, 0, 0]), (2**64 - 1, [3, 3, 3]), (2**32 - 1, [2, 1, 2])):
+        exact = -24 * math.log(2) * np.array(smallest, dtype=float)
+        for s in (0.035, 2.08, -20.0, 1e3, 2.0**121, 2.0**122, 1e300):
+            cos, sin = _phasor(gamma3_log(ConstantWords(word), 3), s)
+            cos_ref, sin_ref = reference_phasor(exact, s)
+            bound = kernel_bound(s, exact)
+            assert np.all(np.abs(cos - cos_ref) <= bound)
+            assert np.all(np.abs(sin - sin_ref) <= bound)
 
 
-def _with_warnings(func, phase):
+@pytest.mark.parametrize("scaled", [0.035, 0.5, 2.08, 20.0])
+def test_kernel_estimates_the_characteristic_function_within_four_standard_errors(scaled):
+    # chi(x) = E[exp(i*L*x/eta)] = (1 + i*x/eta)**-3.  Over N draws the two means
+    # have the standard errors sqrt(Var/N), with E[cos**2] = (1 + Re chi(2x))/2
+    # and E[sin**2] = (1 - Re chi(2x))/2.
+    size = 10**6
+    cos, sin = _phasor(gamma3_log(np.random.default_rng(31), size), scaled)
+    chi, chi_2 = (1 + 1j * scaled) ** -3.0, (1 + 2j * scaled) ** -3.0
+    se_re = math.sqrt(((1 + chi_2.real) / 2 - chi.real**2) / size)
+    se_im = math.sqrt(((1 - chi_2.real) / 2 - chi.imag**2) / size)
+    assert abs(np.mean(cos, dtype=np.float64) - chi.real) <= 4 * se_re
+    assert abs(np.mean(sin, dtype=np.float64) - chi.imag) <= 4 * se_im
+
+
+def _with_warnings(func):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = func(phase.copy())
+        value = func()
     return value, [(w.category, str(w.message)) for w in caught]
 
 
+# each ``phase`` is a list of s = x/eta, the phase L*s per unit of L
 @pytest.mark.parametrize("phase", [
-    [np.nextafter(2.0**30, np.inf), 1.0],
-    [0.5, -1e12],
+    [np.nextafter(2.0**121, np.inf), 1.0],
+    [0.5, -1e38],
     [np.inf, 1.0],
     [2.0, -np.inf],
     [np.nan, 2.0],
-    [],
+    [1e300, -(2.0**121)],
 ])
 def test_float32_kernel_leaves_large_and_non_finite_phases_to_float64(phase):
-    phase = np.array(phase, dtype=float)
-    value, caught = _with_warnings(_mean_cos, phase)
-    expected, expected_caught = _with_warnings(lambda p: np.mean(np.cos(p)), phase)
-    assert type(value) is type(expected)
-    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
-    assert caught == expected_caught
+    # |L| <= 72 ln 2 < 2**6: beyond |s| = 2**121, or at a non-finite s, theta =
+    # L*s could overflow float32, so theta, cos and sin are float64, bit for bit
+    # and warning for warning the float64 expressions
+    log_g = gamma3_log(np.random.default_rng(7), 1000)
+    log_g[:2] = [0.0, np.log(np.float32(2.0**-72))]
+    for s in phase:
+        (cos, sin), caught = _with_warnings(lambda: _phasor(log_g.copy(), s))
+        if abs(s) <= 2.0**121:
+            assert cos.dtype == sin.dtype == np.float32 and not caught
+            continue
+        expected, expected_caught = _with_warnings(
+            lambda: reference_phasor(log_g.astype(np.float64), s))
+        assert cos.dtype == sin.dtype == np.float64
+        assert cos.tobytes() == expected[0].tobytes() and sin.tobytes() == expected[1].tobytes()
+        assert caught == expected_caught
 
 
 def test_noise_free_phases_keep_the_exact_float64_cosine():

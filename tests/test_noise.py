@@ -12,6 +12,7 @@ from dephasim.errors import DomainError
 from dephasim.noise import (
     HomogeneousNoiseSpec,
     LightShiftDistribution,
+    gamma3_log,
     lightshift_pdf,
     lightshift_sample,
 )
@@ -80,26 +81,27 @@ def test_sampling_matches_pdf_by_kolmogorov_smirnov():
     assert statistic < 0.01
 
 
-class ConstantUniforms:
-    """Generator stand-in whose ``random`` fills every cell with one value."""
+class ConstantWords:
+    """Generator stand-in whose raw 64-bit words all equal one value."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, word):
+        self.word = word
+        self.bit_generator = self
 
-    def random(self, size=None):
-        return np.full(size, self.value)
+    def random_raw(self, size=None):
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 def test_zero_uniforms_give_exactly_the_onset():
-    stub = ConstantUniforms(0.0)
+    stub = ConstantWords(0)
     assert np.all(lightshift_sample(DIST, stub, size=7) == DIST.delta0)
     assert lightshift_sample(DIST, stub) == DIST.delta0
 
 
 def test_largest_uniform_gives_a_finite_draw():
-    # every factor 1 - U is 2**-53, so G = 159*ln(2)/eta
-    stub = ConstantUniforms(1.0 - 2.0**-53)
-    expected = DIST.delta0 + 159 * math.log(2.0) / DIST.eta
+    # every factor 1 - U is 2**-24, so G = 72*ln(2)/eta, with L = log(2**-72) in float32
+    stub = ConstantWords(2**64 - 1)
+    expected = DIST.delta0 - float(np.log(np.float32(2.0**-72))) / DIST.eta
     draws = lightshift_sample(DIST, stub, size=4)
     assert np.all(np.isfinite(draws))
     assert draws == pytest.approx(np.full(4, expected), rel=1e-12)
@@ -107,14 +109,32 @@ def test_largest_uniform_gives_a_finite_draw():
 
 
 def test_sampler_inverts_three_uniforms_per_draw():
-    u = np.random.default_rng(208).random((3, 5))
-    expected = DIST.delta0 - np.log((1 - u[0]) * (1 - u[1]) * (1 - u[2])) / DIST.eta
+    u = np.random.default_rng(208).random(15, dtype=np.float32).reshape(3, 5)
+    log_g = np.log((1 - u[0]) * (1 - u[1]) * (1 - u[2]))
+    expected = DIST.delta0 - log_g.astype(np.float64) / DIST.eta
     draws = lightshift_sample(DIST, np.random.default_rng(208), size=5)
     assert draws == pytest.approx(expected, rel=1e-13)
-    u = np.random.default_rng(208).random(3)
+    u = np.random.default_rng(208).random(3, dtype=np.float32)
     single = lightshift_sample(DIST, np.random.default_rng(208))
     assert type(single) is float
-    assert single == pytest.approx(DIST.delta0 - np.log(np.prod(1 - u)) / DIST.eta, rel=1e-13)
+    log_g = np.log((1 - u[0]) * (1 - u[1]) * (1 - u[2]))
+    assert single == pytest.approx(DIST.delta0 - float(log_g) / DIST.eta, rel=1e-13)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("size", [1, 2, 7, 1_000_000])
+def test_bulk_uniforms_are_numpys_float32_uniforms(size, bit_generator):
+    # gamma3_log reads numpy's float32 uniforms from raw words (64-bit, or
+    # MT19937's 32-bit ones): its L is, bit for bit, the float32 formula on
+    # rng.random(3 * size, dtype=np.float32)
+    got = gamma3_log(rng := np.random.Generator(bit_generator(210)), size)
+    same = np.random.Generator(bit_generator(210))
+    u = same.random(3 * size, dtype=np.float32).reshape(3, size)
+    expected = np.log((1 - u[0]) * (1 - u[1]) * (1 - u[2]))
+    assert got.dtype == np.float32 and got.shape == (size,)
+    assert got.tobytes() == expected.tobytes()
+    if 3 * size % 2 == 0:  # whole words used: the generator is left where rng.random leaves it
+        assert rng.random() == same.random()
 
 
 def test_sampling_within_dkw_bound_of_cdf():
