@@ -39,7 +39,7 @@ whole grid in one array call.
 
 Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid point
-(still drawn point by point, 1.5 raw 64-bit words per draw) come from it in
+(drawn point by point, 1.5 raw 64-bit words per draw) come from it in
 grid order, then all success counts in one binomial call: the same config and
 seed give bit-identical datasets.  A visibility scan keys one such stream per
 pulse spacing, from ``(rng_seed, row index)``.

@@ -97,7 +97,9 @@ def gamma3_log(rng: np.random.Generator, size: int) -> np.ndarray:
     result does not depend on byte order; MT19937's raw words are 32-bit
     values, one w each): U1 is the first ``size`` of them, then U2 and U3,
     bit for bit ``rng.random(3 * size, dtype=np.float32)``, and for an even
-    3 * size the generator is left where that call leaves it.
+    3 * size the generator is left where that call leaves it.  (The raw words
+    skip a 32-bit half that an odd-sized float32 call has left buffered in
+    the generator; the draws in this package never leave one.)
     1 - U = m * 2**-24 with the integer m = 2**24 - (w >> 8) in [1, 2**24] is
     exact in float32, so the product is at least 2**-72, a normal float32,
     and L lies in [-72 ln 2, 0]: U = 0 gives L = 0, the largest uniforms
