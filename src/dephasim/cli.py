@@ -21,7 +21,6 @@ violation (e.g. readout before the last pulse); 4 fit non-convergence under
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import inspect
@@ -35,11 +34,11 @@ import numpy as np
 
 from . import __version__
 from .bloch import SEQUENCE_KINDS, SequenceSpec
-from .errors import ConfigError, DataFormatError, DomainError, FitError
+from .errors import ConfigError, DephasimError, DomainError
 from .fit import FITTERS, fit_visibility_decay, weighted_points
 from .montecarlo import (
-    ExperimentConfig, FringeDataset, _fringe_grids, _read_table, scan_visibility,
-    simulate_dataset,
+    _VISIBILITY_TABLE, ExperimentConfig, FringeDataset, _fringe_grids, _read_table,
+    _write_table, _write_text, scan_visibility, simulate_dataset,
 )
 from .noise import HomogeneousNoiseSpec, LightShiftDistribution
 from .analytic import t2_prime
@@ -299,22 +298,12 @@ def _write_manifest(path, config_bytes: bytes, seed: int, command: str) -> None:
         "rng_seed": seed,
         "package_version": __version__,
     }
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-_VISIBILITY_HEADER = ["total_time_s", "visibility", "visibility_err"]
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def write_visibility_csv(path, points) -> None:
     """Figure-ready visibility table: total_time_s, visibility, visibility_err."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_VISIBILITY_HEADER)
-        for p in points:
-            writer.writerow([repr(float(p.total_time)), repr(float(p.visibility)),
-                             repr(float(p.error))])
+    _write_table(path, _VISIBILITY_TABLE, ((p.total_time, p.visibility, p.error) for p in points))
 
 
 def _visibility_row_error(values, cells) -> str | None:
@@ -335,8 +324,7 @@ def read_visibility_csv(path):
 
     numpy's C reader parses it; the row loop names a malformed row (``montecarlo._read_table``).
     """
-    times, values, errs = _read_table(path, _VISIBILITY_HEADER, (float, float, float),
-                                      "visibility", _visibility_row_error)
+    times, values, errs = _read_table(path, _VISIBILITY_TABLE, "visibility", _visibility_row_error)
     return weighted_points(times, values, yerr=errs)
 
 
@@ -363,9 +351,7 @@ def cmd_simulate(args) -> int:
     _refuse_to_overwrite(args.config, [f"{base}.{ext}" for ext in ("csv", "json", "manifest.json")])
     dataset = simulate_dataset(config)
     dataset.write_csv(f"{base}.csv")
-    with open(f"{base}.json", "w", encoding="utf-8", newline="") as handle:
-        handle.write(dataset.to_json())
-        handle.write("\n")
+    _write_text(f"{base}.json", dataset.to_json())
     _write_manifest(f"{base}.manifest.json", config_bytes, config.rng_seed, "simulate")
     seq = config.sequence
     print(f"simulated {seq.kind} (n = {seq.n}, tau = {seq.tau} s): "
@@ -406,9 +392,7 @@ def cmd_fit(args) -> int:
     result = fitter(points, **kwargs)
     _print_fit_result(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(result.to_json())
-            handle.write("\n")
+        _write_text(args.output, result.to_json())
     if args.strict and not result.converged:
         print("fit did not converge (--strict)", file=sys.stderr)
         return 4
@@ -488,9 +472,8 @@ def cmd_sweep_n(args) -> int:
               f"{100 * row['c0']:>7.1f}+-{100 * row['c0_err']:<4.1f}  "
               f"{row['sigma_sig']:>12.1f}+-{row['sigma_sig_err']:<5.1f}  "
               f"{1e3 * row['t2_prime_s']:>10.1f}+-{1e3 * row['t2_prime_err_s']:<5.1f}")
-    with open(f"{args.outdir}/summary.json", "w", encoding="utf-8", newline="") as handle:
-        json.dump({"rows": summary}, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(f"{args.outdir}/summary.json",
+                json.dumps({"rows": summary}, indent=2, sort_keys=True))
     _write_manifest(f"{args.outdir}/sweep.manifest.json", config_bytes,
                     base_config.rng_seed, "sweep-n")
     return 0
@@ -558,21 +541,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a data or output path that cannot be opened
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a count too large for an array, e.g. a 10**15-point grid
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    except (DephasimError, OSError, MemoryError) as exc:
+        # OSError: a path that cannot be opened; MemoryError: a count too large for an
+        # array, e.g. a 10**15-point grid
+        memory = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {memory}{exc}", file=sys.stderr)
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

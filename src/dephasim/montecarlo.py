@@ -190,11 +190,32 @@ def _column(values, name: str, integral: bool) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-_DATASET_HEADER = ["time_s", "fraction", "trials", "successes"]
+#: Each CSV table, declared once as its header and column kinds: ``_write_table`` writes it
+#: and ``_read_table`` reads it back.
+_DATASET_TABLE = {"time_s": float, "fraction": float, "trials": int, "successes": int}
+_VISIBILITY_TABLE = {"total_time_s": float, "visibility": float, "visibility_err": float}
 
 
-def _read_table(path, header: list[str], kinds: tuple, name: str, row_error=None):
-    """The columns of the CSV table at ``path``, one array per ``header`` entry, of ``kinds``.
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with a final newline: every file the package writes."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+        handle.write("\n")
+
+
+def _write_table(path, table: dict, rows) -> None:
+    """Write ``rows`` as the CSV ``table``: the header line, then one line per row.
+
+    A cell is formatted from its kind, ``str(float(v))`` (its repr) or ``str(int(v))``,
+    so ``_read_table`` reads every value back bit for bit.
+    """
+    lines = [",".join(table)]
+    lines += [",".join([str(kind(v)) for kind, v in zip(table.values(), row)]) for row in rows]
+    _write_text(path, "\n".join(lines))
+
+
+def _read_table(path, table: dict, name: str, row_error=None):
+    """The columns of the CSV ``table`` at ``path``, one array per header entry, of its kind.
 
     numpy's C reader parses the body in one pass, unless it might read it otherwise
     than the row loop: a non-ASCII character (its integer parser misreads some), a
@@ -205,33 +226,33 @@ def _read_table(path, header: list[str], kinds: tuple, name: str, row_error=None
     """
     with open(path, "rb") as handle:  # an undecodable byte becomes non-ASCII U+FFFD
         text = handle.read().decode("utf-8", "replace")
-    head = ",".join(header) + "\n"
-    body, table, limit = text[len(head):], None, csv.field_size_limit()
+    head = ",".join(table) + "\n"
+    body, parsed, limit = text[len(head):], None, csv.field_size_limit()
     if (text.startswith(head) and body.isascii()
             and not any(c in body for c in "\r\x1c\x1d\x1e\x1f")
             and (len(body) <= limit or max(map(len, body.split("\n"))) <= limit)):
         with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
             warnings.simplefilter("error")  # e.g. "input contained no data"
-            table = np.loadtxt(io.StringIO(body), dtype=list(zip(header, kinds)), delimiter=",",
-                               comments=None, quotechar=None, ndmin=1)
-    if (table is not None and len(table) == body.count("\n") + (not body.endswith("\n"))
-            and (row_error is None or not any(row_error(row, None) for row in table.tolist()))):
-        return [table[column] for column in header]
+            parsed = np.loadtxt(io.StringIO(body), dtype=list(table.items()), delimiter=",",
+                                comments=None, quotechar=None, ndmin=1)
+    if (parsed is not None and len(parsed) == body.count("\n") + (not body.endswith("\n"))
+            and (row_error is None or not any(row_error(row, None) for row in parsed.tolist()))):
+        return [parsed[column] for column in table]
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             first = next(reader, None)
             if first is None:
                 raise DataFormatError(f"empty {name} file")
-            if first != header:
+            if first != list(table):
                 raise DataFormatError(f"unexpected header {first!r}")
-            columns = [[] for _ in header]
+            columns = [[] for _ in table]
             for index, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise DataFormatError(f"expected {len(header)} columns, got {len(row)}",
+                if len(row) != len(table):
+                    raise DataFormatError(f"expected {len(table)} columns, got {len(row)}",
                                           row=index)
                 try:
-                    values = [kind(cell) for kind, cell in zip(kinds, row)]
+                    values = [kind(cell) for kind, cell in zip(table.values(), row)]
                 except ValueError as exc:
                     raise DataFormatError(str(exc), row=index) from None
                 if row_error is not None and (message := row_error(values, row)):
@@ -282,19 +303,13 @@ class FringeDataset:
         return points_from_counts(self.times, self.successes, self.trials)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_DATASET_HEADER)
-            for t, frac, trials, successes in zip(
-                self.times, self.fractions, self.trials, self.successes
-            ):
-                writer.writerow([repr(float(t)), repr(float(frac)), int(trials), int(successes)])
+        _write_table(path, _DATASET_TABLE,
+                     zip(self.times, self.fractions, self.trials, self.successes))
 
     @staticmethod
     def read_csv(path) -> "FringeDataset":
         """Read a dataset CSV: numpy's C reader parses it; the row loop names a malformed row."""
-        times, fractions, trials, successes = _read_table(
-            path, _DATASET_HEADER, (float, float, int, int), "dataset")
+        times, fractions, trials, successes = _read_table(path, _DATASET_TABLE, "dataset")
         dataset = FringeDataset(times, successes, trials)
         mismatch = ~(np.abs(fractions - dataset.fractions) <= 1e-9)
         if np.any(mismatch):
