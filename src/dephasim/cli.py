@@ -13,14 +13,19 @@ twice in one object, which ``json`` would resolve silently to its last value,
 is rejected by name.
 
 Exit codes: 0 success; 2 usage, config, or data error, or a count too large
-to allocate (``MemoryError``); 3 domain-constraint
-violation (e.g. readout before the last pulse); 4 fit non-convergence under
---strict.
+to allocate (``MemoryError``).  Config errors include a value its type
+refuses (``SequenceSpec``, ``LightShiftDistribution``), named ``sequence`` or
+``inhomogeneous.<key>``; data errors include a ``fit`` table with no data
+rows, named, and fringe data whose times break the timing rule for --n and
+--tau-s (``FitError``).  3 domain-constraint violation (e.g. a
+simulated readout before the last pulse); 4 fit non-convergence under
+--strict.  ``main`` turns every refusal into one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import inspect
@@ -34,10 +39,10 @@ import numpy as np
 
 from . import __version__
 from .bloch import SEQUENCE_KINDS, SequenceSpec
-from .errors import ConfigError, DephasimError, DomainError
+from .errors import ConfigError, DataFormatError, DephasimError, DomainError
 from .fit import FITTERS, fit_visibility_decay, weighted_points
 from .montecarlo import (
-    _VISIBILITY_TABLE, ExperimentConfig, FringeDataset, _fringe_grids, _read_table,
+    ExperimentConfig, FringeDataset, _VISIBILITY_TABLE, _fringe_grids, _read_table,
     _write_table, _write_text, scan_visibility, simulate_dataset,
 )
 from .noise import HomogeneousNoiseSpec, LightShiftDistribution
@@ -202,6 +207,15 @@ def _exactly_one(section: dict, first: str, second: str, path: str) -> str:
     return first if section[first] is not None else second
 
 
+@contextlib.contextmanager
+def _refused_at(path: str):
+    """A type's refusal (DomainError) of a config value, as a ConfigError at ``path``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validate a config document and assemble the experiment description."""
     top = _read(doc, _CONFIG, "")
@@ -209,15 +223,18 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     if seq["kind"] not in SEQUENCE_KINDS:
         raise ConfigError("sequence.kind", f"expected one of {SEQUENCE_KINDS}, got {seq['kind']!r}")
     n = seq["n"] if seq["n"] is not None else (0 if seq["kind"] == "ramsey" else 1)
-    sequence = SequenceSpec(seq["kind"], n, tau=seq["tau_s"], delta=seq["delta"])
+    with _refused_at("sequence"):
+        sequence = SequenceSpec(seq["kind"], n, tau=seq["tau_s"], delta=seq["delta"])
 
     inhomogeneous = section = top["inhomogeneous"]
     if section is not None:
         delta0 = section["delta0"]
-        if _exactly_one(section, "t2_star_s", "eta_s", "inhomogeneous") == "t2_star_s":
-            inhomogeneous = LightShiftDistribution.from_t2_star(section["t2_star_s"], delta0)
-        else:
-            inhomogeneous = LightShiftDistribution(delta0=delta0, eta=section["eta_s"])
+        key = _exactly_one(section, "t2_star_s", "eta_s", "inhomogeneous")
+        with _refused_at(f"inhomogeneous.{key}"):
+            if key == "t2_star_s":
+                inhomogeneous = LightShiftDistribution.from_t2_star(section["t2_star_s"], delta0)
+            else:
+                inhomogeneous = LightShiftDistribution(delta0=delta0, eta=section["eta_s"])
 
     homogeneous = section = top["homogeneous"]
     if section is not None:
@@ -389,6 +406,8 @@ def cmd_fit(args) -> int:
         points = read_visibility_csv(args.data)
     else:
         points = FringeDataset.read_csv(args.data).points()
+    if not points.x.size:  # a header-only table reads as empty; every fitter refuses it
+        raise DataFormatError(f"{args.data}: the table has no data rows to fit")
     result = fitter(points, **kwargs)
     _print_fit_result(result)
     if args.output:

@@ -55,6 +55,7 @@ from .analytic import (
     _visibility_jacobian,
     t2_prime,
 )
+from .bloch import _check_timing
 from .errors import DomainError, FitError
 
 __all__ = [
@@ -630,8 +631,15 @@ def dominant_frequency(x, y, oversample: int = 8, max_grid: int = 20000) -> floa
 # ------------------------------------------------------------------ wrappers
 
 
+def _refuse_empty(data: FitData) -> None:
+    """A fitter takes its start values from the data, so data without points is refused."""
+    if not data.x.size:
+        raise FitError("no data points to fit")
+
+
 def fit_rabi(data: FitData) -> FitResult:
     """Fit offset + contrast*cos(omega_r*t) with a frequency-scan initialization."""
+    _refuse_empty(data)
     x, y = data.x, data.y
     omega0 = dominant_frequency(x, y)
     contrast0 = math.sqrt(2.0) * float(np.std(y))
@@ -651,6 +659,7 @@ def fit_rabi(data: FitData) -> FitResult:
 
 def fit_t1(data: FitData) -> FitResult:
     """Fit equilibrium + amplitude*exp(-t/T1) to a relaxation record."""
+    _refuse_empty(data)
     order = np.argsort(data.x)
     x, y = data.x[order], data.y[order]
     tail = float(np.mean(y[-max(3, y.size // 5):]))
@@ -686,7 +695,10 @@ def fit_fringe(
     fringe, with a free phase offset.  ``t2_star`` fixes the envelope scale
     (``math.inf`` disables the envelope, the right choice when only
     homogeneous noise is present); passing ``None`` co-fits it.  This is
-    ``_fit_fringes`` on a stack of one fringe.
+    ``_fit_fringes`` on a stack of one fringe.  Data without points, and times
+    that break ``bloch``'s timing rule for (n, tau) (a readout before the last
+    pulse, n negative or not an integer, tau <= 0 with n >= 1), raise FitError,
+    the latter with the rule's message.
 
     Parameters
     ----------
@@ -696,6 +708,11 @@ def fit_fringe(
     t2_star : float or None
         Fixed envelope 1/e time, or None to co-fit it.
     """
+    _refuse_empty(data)
+    try:
+        _check_timing(tau, n, data.x)
+    except DomainError as exc:  # the data were not read out by this sequence: nothing to fit
+        raise FitError(str(exc)) from None
     (result,) = _fit_fringes(data.x[None], data.y[None], data.weight[None], n, [tau], t2_star)
     if isinstance(result, FitError):
         raise result
@@ -771,6 +788,7 @@ def fit_visibility_decay(data: FitData, n: int) -> FitResult:
     """
     if n < 1:
         raise FitError(f"visibility decay requires n >= 1, got {n}")
+    _refuse_empty(data)
     order = np.argsort(data.x)
     x, y = data.x[order], data.y[order]
     if not x[-1] > 0:

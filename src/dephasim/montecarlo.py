@@ -50,6 +50,12 @@ one stream per row give the (B, N) success counts, from one
 from stream b, rows in order) and one binomial call per row from its stream.
 A dataset is a stack of one row; a visibility scan has one row per pulse
 spacing (a (B, 1) column in its sequence) and fits all its rows in one stack.
+
+Files: each CSV table is declared once, as its header and column kinds
+(``_DATASET_TABLE``, ``_VISIBILITY_TABLE``); ``_write_table`` writes it and
+``_read_table`` reads it back from that declaration, bit for bit.
+``_write_text`` writes every text file the package writes, tables and JSON
+documents alike, as UTF-8 with a final newline.
 """
 
 from __future__ import annotations

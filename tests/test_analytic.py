@@ -299,3 +299,21 @@ def test_closed_forms_stay_in_range_on_random_grids():
         f = fringe_inhomogeneous(t, delta_prime, t2s, n, tau)
         assert np.isfinite(f) and -1.0 <= f <= 1.0
         assert 0.0 < homogeneous_factor(rng.uniform(0, 0.1), rng.uniform(0, 50, 3)) <= 1.0
+
+
+# ---------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fringe_inhomogeneous(1e-3, 100.0, 0.0, 0), "t2_star must be positive"),
+    (lambda: visibility_cpmg([0.1, -0.1], 0.5, 10.0, 1), "total time t must be >= 0"),
+    (lambda: homogeneous_factor(-1e-3, [10.0]), "tau must be >= 0"),
+    (lambda: homogeneous_factor(1e-3, [10.0, -1.0]), "all sigma_i must be >= 0"),
+    (lambda: rabi_fraction(-1e-6, 1e6, 0.45, 0.5), "pulse duration must be >= 0"),
+    (lambda: t1_fraction([0.0, -0.1], 0.8, 0.5, 0.45), "trapping time must be >= 0"),
+    (lambda: w_from_fraction(1.5), r"fraction outside \[0, 1\]"),
+], ids=["fringe-t2-star", "visibility-time", "factor-tau", "factor-sigma", "rabi-time",
+        "t1-time", "fraction-range"])
+def test_public_models_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -299,3 +299,11 @@ def test_a_stack_with_one_row_read_out_early_is_refused(stack, data):
         with pytest.raises(DomainError) as stacked:
             SequenceSpec("cpmg", n, tau=taus[:, None])
         assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, True, "2"])
+def test_a_pulse_count_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(DomainError, match="pulse count n must be an integer"):
+        SequenceSpec("cpmg", n, tau=1e-3)
+    with pytest.raises(DomainError, match="pulse count n must be an integer"):
+        accumulated_phase(0.0, 1e-3, n, 5e-3)

@@ -215,6 +215,26 @@ def test_fit_held_t2_star_that_is_not_positive_exits_3(ramsey_run, capsys):
     assert "error: t2_star must be positive, got -1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "cpmg_fringe", "--n", "-1", "--tau-s", "1e-3"],
+     "pulse count n must be >= 0, got -1"),
+    (["--model", "echo_fringe", "--tau-s", "0"], "tau must be positive for n >= 1, got 0.0"),
+    (["--model", "echo_fringe", "--tau-s", "0.01"],
+     "readout time violates t >= (2n-1)*tau = 0.01 "),
+    (["--model", "echo_fringe", "--tau-s", "inf"], "readout time violates t >= (2n-1)*tau = inf "),
+    (["--model", "echo_fringe", "--tau-s", "1e300"],
+     "readout time violates t >= (2n-1)*tau = 1e+300 "),
+], ids=["negative-n", "zero-tau", "readout-before-tau", "infinite-tau", "huge-tau"])
+def test_fit_geometry_the_timing_rule_refuses_exits_2_with_its_message(
+        ramsey_run, tmp_path, capsys, flags, message):
+    # The Ramsey record is read out from 5e-5 s on: no pulse geometry above fits it.
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(ramsey_run / "run.csv"), *flags, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def stalled(fitter):
     """``fitter`` with every result reported as not converged."""
     def fit(points, **kwargs):
@@ -454,9 +474,25 @@ def test_simulate_at_a_vanishing_t2_star_exits_0_without_warnings(tmp_path, caps
     ("contrast", -0.25, "contrast: contrast must lie in [0, 1], got -0.25"),
     ("homogeneous", {"sigmas": [{"value": -5.0, "angular": True}]},
      "homogeneous.sigmas[0]: sigmas[0] must be >= 0, got -5.0 rad/s"),
+    ("inhomogeneous", {"eta_s": -1.0}, "inhomogeneous.eta_s: eta must be positive, got -1.0"),
+    ("inhomogeneous", {"t2_star_s": 0.0},
+     "inhomogeneous.t2_star_s: T2* must be positive, got 0.0"),
+    ("sequence", {"kind": "cpmg", "n": 2, "tau_s": 0.0},
+     "sequence: tau must be positive for n >= 1, got 0.0"),
+    ("sequence", {"kind": "cpmg", "n": -1, "tau_s": 1e-3},
+     "sequence: pulse count n must be >= 0, got -1"),
+    ("sequence", {"kind": "ramsey", "n": 2, "tau_s": 1e-3},
+     "sequence: ramsey sequence requires n = 0, got n = 2"),
+    ("sequence", {"kind": "spin_echo", "n": 2, "tau_s": 1e-3},
+     "sequence: spin_echo sequence requires n = 1, got n = 2"),
+    ("sequence.kind", "hahn", "sequence.kind: expected one of"),
+    ("homogeneous", {"sigmas": []}, "homogeneous.sigmas: expected a non-empty list"),
+    ("time_grid_s", "0.001", "time_grid_s: expected a list of seconds or a grid object"),
 ], ids=["nan-grid-time", "infinite-delta", "overflowing-hz", "negative-seed",
         "overflowing-span", "overflowing-half-span", "not-a-number", "huge-integer",
-        "contrast-above-one", "negative-contrast", "negative-sigmas-entry"])
+        "contrast-above-one", "negative-contrast", "negative-sigmas-entry", "negative-eta",
+        "zero-t2-star", "zero-tau", "negative-n", "ramsey-n", "spin-echo-n", "unknown-kind",
+        "no-sigmas", "grid-not-a-list"])
 def test_simulate_config_value_exits_2_naming_key(tmp_path, capsys, key, value, message):
     doc = ramsey_doc()
     _set(doc, key, value)
@@ -525,6 +561,7 @@ def test_sigmas_with_an_overflowing_quadrature_sum_exit_3(tmp_path, capsys, monk
     ["fit", "--data", "{tmp}/missing.csv", "--model", "visibility", "--n", "1"],
     ["fit", "--data", "{run}/run.csv", "--model", "ramsey", "--output", "{tmp}/nodir/fit.json"],
     ["simulate", "--config", "{run}/cfg.json", "--output", "{tmp}/nodir/run"],
+    ["simulate", "--config", "{tmp}/missing.json", "--output", "{tmp}/run"],
 ])
 def test_unusable_data_or_output_path_exits_2_naming_it(ramsey_run, tmp_path, capsys, command):
     argv = [arg.format(tmp=tmp_path, run=ramsey_run) for arg in command]
@@ -584,8 +621,10 @@ FIT_VISIBILITY = ["fit", "--data", "{path}", "--model", "visibility", "--n", "1"
     (FIT_DATASET, DATASET_HEADER + b"0.001,0.5,100," + b"5" * 131_073 + b"\n"),
     (FIT_VISIBILITY, VISIBILITY_HEADER + b"0.1,0.5,0.01\n\x80\n"),
     (FIT_VISIBILITY, VISIBILITY_HEADER + b"0.1,0.5," + b"1" * 131_073 + b"\n"),
+    (SIMULATE, b"[1, 2]"),
 ], ids=["config-not-utf8", "config-nested-1e5-deep", "dataset-not-utf8",
-        "dataset-long-field", "visibility-not-utf8", "visibility-long-field"])
+        "dataset-long-field", "visibility-not-utf8", "visibility-long-field",
+        "config-not-an-object"])
 def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, command, content):
     path = tmp_path / "input"
     path.write_bytes(content)
@@ -593,6 +632,23 @@ def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, command, conte
     err = capsys.readouterr().err
     assert str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header, flags", [
+    (DATASET_HEADER, ["--model", "ramsey"]),
+    (DATASET_HEADER, ["--model", "echo_fringe", "--tau-s", "1e-3"]),
+    (DATASET_HEADER, ["--model", "cpmg_fringe", "--n", "2", "--tau-s", "1e-3"]),
+    (DATASET_HEADER, ["--model", "rabi"]),
+    (DATASET_HEADER, ["--model", "t1"]),
+    (VISIBILITY_HEADER, ["--model", "visibility", "--n", "1"]),
+], ids=["ramsey", "echo_fringe", "cpmg_fringe", "rabi", "t1", "visibility"])
+def test_a_table_without_data_rows_exits_2_naming_it(tmp_path, capsys, header, flags):
+    path = tmp_path / "table.csv"
+    path.write_bytes(header)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(path), *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: the table has no data rows to fit\n"
+    assert not out.exists()
 
 
 def test_sweep_missing_outdir_exits_2_before_scanning(tmp_path, capsys, monkeypatch):
@@ -680,7 +736,8 @@ def test_sweep_negative_row_sigma_exits_2_naming_the_row_before_the_first_scan(t
       "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 1.3}}, None,
      "sweep.rows.6.contrast: contrast must lie in [0, 1], got 1.3"),
     (None, -27.6, "homogeneous.sigma_sig: sigma_sig must be >= 0, got -27.6 rad/s"),
-], ids=["row-contrast", "negative-sigma-sig"])
+    (None, None, "homogeneous: sweep-n needs homogeneous noise or sweep.rows overrides"),
+], ids=["row-contrast", "negative-sigma-sig", "no-sigma-sig-source"])
 def test_sweep_value_out_of_range_exits_2_naming_its_key_before_the_first_scan(
         tmp_path, capsys, monkeypatch, rows, sigma_sig, named):
     monkeypatch.setattr("dephasim.cli.scan_visibility", None)  # must fail before any scan

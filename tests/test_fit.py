@@ -191,6 +191,21 @@ def test_non_finite_or_misshapen_jacobian_rejected():
         fit_curve(lambda t, th: th[0] * t, data, [1.0], jacobian=lambda t, th: t)
 
 
+def test_a_misshapen_non_finite_jacobian_is_reported_as_non_finite():
+    data = weighted_points([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(FitError, match="Jacobian returned non-finite values"):
+        fit_curve(lambda t, th: th[0] * t, data, [1.0], jacobian=lambda t, th: t * np.nan)
+
+
+@pytest.mark.parametrize("x, y, weight", [
+    ([0.0, 1.0], [0.0], [1.0, 1.0]),
+    ([[0.0, 1.0]], [[0.0, 1.0]], [[1.0, 1.0]]),
+], ids=["unequal-lengths", "two-dimensional"])
+def test_fit_data_refuses_arrays_that_are_not_one_dimensional_of_one_length(x, y, weight):
+    with pytest.raises(FitError, match="must be 1-D arrays of one length"):
+        FitData(x, y, weight)
+
+
 def test_iteration_cap_returns_best_so_far():
     rng = np.random.default_rng(9)
     t = np.arange(1, 53) * 1e-6
@@ -859,6 +874,15 @@ def stack_row(function, x, theta, b):
         thetas[b] = th
         return function(xs, thetas)[b]
     return row
+
+
+@pytest.mark.parametrize("model", sorted(FITTER_RECORDS))
+def test_every_fitter_refuses_data_without_points(model):
+    # The readers read a header-only table as empty: no fitter takes a start value from
+    # it, and none warns (the suite turns warnings into errors).
+    _, kwargs, _ = FITTER_RECORDS[model]
+    with pytest.raises(FitError, match="no data points to fit"):
+        FITTERS[model](FitData(np.empty(0), np.empty(0), np.empty(0)), **kwargs)
 
 
 @pytest.mark.parametrize("model", sorted(FITTER_RECORDS))

@@ -28,8 +28,12 @@ from dephasim.montecarlo import (
     ExperimentConfig,
     FringeDataset,
     VisibilityPoint,
+    _DATASET_TABLE,
+    _VISIBILITY_TABLE,
     _fringe_grids,
     _phasor,
+    _read_table,
+    _write_table,
     ensemble_probability,
     scan_visibility,
     simulate_dataset,
@@ -719,6 +723,41 @@ def test_constructor_shares_the_row_checks():
         FringeDataset(np.array([0.0, 1.0]), np.array([0, 1]), np.array([0, 2]))
 
 
+TABLES = {"dataset": _DATASET_TABLE, "visibility": _VISIBILITY_TABLE}
+#: Cells at the edges of each kind: signed zeros, subnormals, the largest finite
+#: magnitudes and the int64 extremes.
+EDGE_CELLS = {
+    float: [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308],
+    int: [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1],
+}
+CELLS = {float: st.one_of(st.sampled_from(EDGE_CELLS[float]), st.floats(allow_nan=False)),
+         int: st.one_of(st.sampled_from(EDGE_CELLS[int]), st.integers(-2**63, 2**63 - 1))}
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "table.csv"
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_written_table_is_read_back_bit_for_bit(table_file, name, data):
+    # _write_table and _read_table work from one declaration of each table.
+    table = TABLES[name]
+    rows = data.draw(st.lists(st.tuples(*(CELLS[kind] for kind in table.values())),
+                              max_size=20))
+    _write_table(table_file, table, rows)
+    columns = _read_table(table_file, table, name)
+    assert len(columns) == len(table)
+    for j, (kind, back) in enumerate(zip(table.values(), columns)):
+        expected = np.array([row[j] for row in rows],
+                            dtype=np.float64 if kind is float else np.int64)
+        assert back.size == expected.size and back.tobytes() == expected.tobytes()
+        assert not rows or back.dtype == expected.dtype
+
+
 # ------------------------------------------------------- visibility scans
 
 
@@ -834,3 +873,7 @@ def test_scan_preconditions():
     cfg = ExperimentConfig(sequence=seq)
     with pytest.raises(DomainError):
         scan_visibility(cfg, [1e-3])      # zero carrier, no fringe to fit
+
+
+def test_a_scan_over_no_pulse_spacings_is_empty():
+    assert scan_visibility(pipeline_config(2, 40.0, 0.7, 3), []) == []

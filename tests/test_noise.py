@@ -223,3 +223,15 @@ def test_sigmas_whose_quadrature_sum_is_not_finite_are_rejected(make):
 
 def test_largest_finite_quadrature_sum_is_kept():
     assert HomogeneousNoiseSpec([1e150, 1e150]).sigma_sig == pytest.approx(math.sqrt(2) * 1e150)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LightShiftDistribution.from_t2_star(0.0), r"T2\* must be positive, got 0.0"),
+    (lambda: HomogeneousNoiseSpec([]), "non-empty one-dimensional"),
+    (lambda: HomogeneousNoiseSpec([[1.0, 2.0]]), "non-empty one-dimensional"),
+    (lambda: HomogeneousNoiseSpec.from_sigma_sig(-1.0, 2), "sigma_sig must be >= 0, got -1.0"),
+    (lambda: HomogeneousNoiseSpec.from_sigma_sig(10.0, 0), "at least one interval, got n = 0"),
+], ids=["t2-star", "no-sigmas", "two-dimensional-sigmas", "negative-sigma-sig", "no-interval"])
+def test_noise_specs_refuse_values_outside_their_domain(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
