@@ -75,16 +75,14 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind not in SEQUENCE_KINDS:
-            raise DomainError(
-                f"unknown sequence kind {self.kind!r}; expected one of {SEQUENCE_KINDS}"
-            )
+            raise DomainError(f"expected one of {SEQUENCE_KINDS}, got {self.kind!r}", field="kind")
         _check_timing(self.tau, self.n)
         if self.kind == "ramsey" and self.n != 0:
-            raise DomainError(f"ramsey sequence requires n = 0, got n = {self.n}")
+            raise DomainError(f"ramsey sequence requires n = 0, got n = {self.n}", field="n")
         if self.kind == "spin_echo" and self.n != 1:
-            raise DomainError(f"spin_echo sequence requires n = 1, got n = {self.n}")
+            raise DomainError(f"spin_echo sequence requires n = 1, got n = {self.n}", field="n")
         if self.kind == "cpmg" and self.n < 1:
-            raise DomainError(f"cpmg sequence requires n >= 1, got n = {self.n}")
+            raise DomainError(f"cpmg sequence requires n >= 1, got n = {self.n}", field="n")
 
     @property
     def echo_time(self) -> float:
@@ -100,14 +98,14 @@ def _check_timing(tau, n: int, t=None):
     message names the first row that breaks it.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"pulse count n must be an integer, got {n!r}")
+        raise DomainError(f"pulse count n must be an integer, got {n!r}", field="n")
     if n < 0:
-        raise DomainError(f"pulse count n must be >= 0, got {n}")
+        raise DomainError(f"pulse count n must be >= 0, got {n}", field="n")
     column = isinstance(tau, np.ndarray)
     if n >= 1 and not (np.all(tau > 0) if column else tau > 0):
         if column:
             tau = tau.flat[int(np.argmin(tau > 0))]
-        raise DomainError(f"tau must be positive for n >= 1, got {tau}")
+        raise DomainError(f"tau must be positive for n >= 1, got {tau}", field="tau")
     if t is None:
         return None
     t = np.asarray(t, dtype=float)

@@ -2,30 +2,17 @@
 
 Configuration is a single JSON document, read against one table per JSON
 object (``_CONFIG`` and the tables it names) that gives each accepted key
-its kind and default.  Every frequency is an object ``{"value": <number>,
-"angular": <bool>}``: hertz when angular is false (converted to rad/s once
-at load), rad/s when true.  Unknown or missing keys, values of the wrong
-kind, non-finite numbers, frequencies and grids that overflow, a negative
-``rng_seed``, ``sigma_sig`` or ``sigmas`` entry, a count above 2**63 - 1 or
-one whose array numpy would refuse as too big (``_COUNT_BYTES``), and a
-``contrast`` outside [0, 1] are rejected with their dotted path.  A key given
-twice in one object, which ``json`` would resolve silently to its last value,
-is rejected by name.
-
-Exit codes: 0 success; 2 usage, config, or data error, or a count too large
-to allocate (``MemoryError``).  Config errors include a value its type
-refuses (``SequenceSpec``, ``LightShiftDistribution``), named ``sequence`` or
-``inhomogeneous.<key>``; data errors include a ``fit`` table with no data
-rows, named, and fringe data whose times break the timing rule for --n and
---tau-s (``FitError``).  3 domain-constraint violation (e.g. a
-simulated readout before the last pulse); 4 fit non-convergence under
---strict.  ``main`` turns every refusal into one ``error:`` line.
+its kind and default; a frequency is ``{"value": <number>, "angular": <bool>}``,
+hertz or rad/s, returned in rad/s.  This module checks the JSON shape and
+names the key of each refusal; each value's range is its type's, whose
+``DomainError`` becomes a ``ConfigError`` at its field's key (``_config_error``).
+The exit codes and what each refusal names are the table in README.md
+("Command line"); ``main`` turns every refusal into one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import inspect
@@ -38,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bloch import SEQUENCE_KINDS, SequenceSpec
+from .bloch import SequenceSpec
 from .errors import ConfigError, DataFormatError, DephasimError, DomainError
 from .fit import FITTERS, fit_visibility_decay, weighted_points
 from .montecarlo import (
@@ -55,17 +42,17 @@ __all__ = ["main"]
 
 # One table per JSON object: key -> (kind, default), the default taken when the
 # key is absent (REQUIRED: it must be given).  Kinds: "number" (a finite float),
-# "fraction" (a number in [0, 1]), "integer", "count" (an integer in [1, 2**63 - 1],
-# and for the keys of _COUNT_BYTES no larger than numpy's array limit allows),
-# "bool", "string", "object", "list", "frequency" (an object, returned in rad/s),
-# "width" (a frequency >= 0), None (read in code) or a table.
+# "integer", "count" (an integer in [1, 2**63 - 1], and for the keys of
+# _COUNT_BYTES no larger than numpy's array limit allows), "bool", "string",
+# "object", "list", "frequency" (an object, returned in rad/s), None (read in
+# code) or a table.
 REQUIRED = object()
 _FREQUENCY = {"value": ("number", REQUIRED), "angular": ("bool", REQUIRED)}
 _SEQUENCE = {"kind": ("string", REQUIRED), "n": ("integer", None),  # None: 0 for ramsey, else 1
              "tau_s": ("number", 0.0), "delta": ("frequency", 0.0)}
 _INHOMOGENEOUS = {"delta0": ("frequency", 0.0),  # exactly one of t2_star_s and eta_s
                   "t2_star_s": ("number", None), "eta_s": ("number", None)}
-_HOMOGENEOUS = {"sigma_sig": ("width", None), "sigmas": ("list", None)}  # exactly one
+_HOMOGENEOUS = {"sigma_sig": ("frequency", None), "sigmas": ("list", None)}  # exactly one
 _HALF_SPAN_GRID = {"half_span_s": ("number", REQUIRED), "points": ("count", REQUIRED)}
 _START_STOP_GRID = {"start_s": ("number", REQUIRED), "stop_s": ("number", REQUIRED),
                     "points": ("count", REQUIRED)}
@@ -78,14 +65,14 @@ _CONFIG = {
     "time_grid_s": (None, []),  # a list of seconds, _HALF_SPAN_GRID or _START_STOP_GRID
     "rng_seed": ("integer", 0),
     "zeeman_shift": ("frequency", 0.0),
-    "contrast": ("fraction", 1.0),
+    "contrast": ("number", 1.0),
     "invert_fraction": ("bool", False),
     "metadata": ("object", {}),
     "sweep": (None, None),  # _SWEEP, read by _parse_sweep_section only
 }
 _SWEEP = {"tau_points": ("count", 10), "span_t2_prime": ("list", [0.15, 1.1]),
           "points_per_fringe": ("count", 31), "rows": ("object", {})}  # rows: n -> _SWEEP_ROW
-_SWEEP_ROW = {"sigma_sig": ("width", REQUIRED), "contrast": ("fraction", 1.0)}
+_SWEEP_ROW = {"sigma_sig": ("frequency", REQUIRED), "contrast": ("number", 1.0)}
 _COUNT_MAX = 2**63 - 1  # the largest int64: numpy takes counts as C longs
 _ARRAY_MAX_BYTES = int(np.iinfo(np.intp).max)  # numpy refuses a larger array ("array is too big")
 #: Bytes per unit of each count that sizes an array: 3 float32 uniforms per light-shift
@@ -119,13 +106,9 @@ def _value(value, kind, where: str):
     """Check one value against its kind and return it converted; a table is read in full."""
     if kind is None:
         return value
-    name = where.rpartition(".")[2]
-    if kind in ("number", "fraction"):
-        number = _number(value, where)
-        if kind == "fraction" and not 0.0 <= number <= 1.0:
-            raise ConfigError(where, f"{name} must lie in [0, 1], got {number}")
-        return number
-    if kind in ("frequency", "width"):
+    if kind == "number":
+        return _number(value, where)
+    if kind == "frequency":
         if not isinstance(value, dict):
             raise ConfigError(
                 where, 'frequencies must be {"value": <number>, "angular": <bool>} objects')
@@ -133,8 +116,6 @@ def _value(value, kind, where: str):
         rad_s = freq["value"] if freq["angular"] else 2.0 * math.pi * freq["value"]
         if not math.isfinite(rad_s):
             raise ConfigError(f"{where}.value", f"{freq['value']!r} Hz overflows in rad/s")
-        if kind == "width" and rad_s < 0:
-            raise ConfigError(where, f"{name} must be >= 0, got {rad_s} rad/s")
         return rad_s
     accepted, expected = (dict, "an object") if isinstance(kind, dict) else _TYPES[kind]
     if not isinstance(value, accepted) or (accepted is int and isinstance(value, bool)):
@@ -207,76 +188,73 @@ def _exactly_one(section: dict, first: str, second: str, path: str) -> str:
     return first if section[first] is not None else second
 
 
-@contextlib.contextmanager
-def _refused_at(path: str):
-    """A type's refusal (DomainError) of a config value, as a ConfigError at ``path``."""
-    try:
-        yield
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
+#: The dotted key of each field a type names when it refuses a config value
+#: (``DomainError.field``); a field not listed is the top-level key of its name.
+_FIELD_KEYS = {"kind": "sequence.kind", "n": "sequence", "tau": "sequence",
+               "delta": "sequence.delta", "eta": "inhomogeneous.eta_s",
+               "t2_star": "inhomogeneous.t2_star_s", "sigma_sig": "homogeneous.sigma_sig",
+               "sigmas": "homogeneous.sigmas", "time_grid": "time_grid_s"}
+
+
+def _config_error(exc: DomainError, keys: dict) -> ConfigError:
+    """A type's refusal as a ConfigError at its field's key, from ``keys``, then ``_FIELD_KEYS``."""
+    field, bracket, index = exc.field.partition("[")
+    return ConfigError(keys.get(field, _FIELD_KEYS.get(field, field)) + bracket + index, str(exc))
 
 
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validate a config document and assemble the experiment description."""
     top = _read(doc, _CONFIG, "")
     seq = top["sequence"]
-    if seq["kind"] not in SEQUENCE_KINDS:
-        raise ConfigError("sequence.kind", f"expected one of {SEQUENCE_KINDS}, got {seq['kind']!r}")
     n = seq["n"] if seq["n"] is not None else (0 if seq["kind"] == "ramsey" else 1)
-    with _refused_at("sequence"):
+    try:
         sequence = SequenceSpec(seq["kind"], n, tau=seq["tau_s"], delta=seq["delta"])
 
-    inhomogeneous = section = top["inhomogeneous"]
-    if section is not None:
-        delta0 = section["delta0"]
-        key = _exactly_one(section, "t2_star_s", "eta_s", "inhomogeneous")
-        with _refused_at(f"inhomogeneous.{key}"):
-            if key == "t2_star_s":
+        inhomogeneous = section = top["inhomogeneous"]
+        if section is not None:
+            delta0 = section["delta0"]
+            if _exactly_one(section, "t2_star_s", "eta_s", "inhomogeneous") == "t2_star_s":
                 inhomogeneous = LightShiftDistribution.from_t2_star(section["t2_star_s"], delta0)
             else:
                 inhomogeneous = LightShiftDistribution(delta0=delta0, eta=section["eta_s"])
 
-    homogeneous = section = top["homogeneous"]
-    if section is not None:
-        if _exactly_one(section, "sigma_sig", "sigmas", "homogeneous") == "sigma_sig":
-            if n < 1:
-                raise ConfigError("homogeneous.sigma_sig", "needs a sequence with n >= 1")
-            homogeneous = HomogeneousNoiseSpec.from_sigma_sig(section["sigma_sig"], n)
-        elif not section["sigmas"]:
-            raise ConfigError("homogeneous.sigmas", "expected a non-empty list of frequencies")
+        homogeneous = section = top["homogeneous"]
+        if section is not None:
+            if _exactly_one(section, "sigma_sig", "sigmas", "homogeneous") == "sigma_sig":
+                homogeneous = HomogeneousNoiseSpec.from_sigma_sig(section["sigma_sig"], n)
+            else:
+                homogeneous = HomogeneousNoiseSpec(np.array([
+                    _value(item, "frequency", f"homogeneous.sigmas[{i}]")
+                    for i, item in enumerate(section["sigmas"])]))
+
+        grid = top["time_grid_s"]
+        if isinstance(grid, list):
+            time_grid = tuple(_number(item, f"time_grid_s[{i}]") for i, item in enumerate(grid))
+        elif not isinstance(grid, dict):
+            raise ConfigError("time_grid_s", "expected a list of seconds or a grid object")
+        elif "half_span_s" in grid:
+            grid = _read(grid, _HALF_SPAN_GRID, "time_grid_s")
+            half, center = grid["half_span_s"], sequence.echo_time
+            if not (math.isfinite(2.0 * half) and math.isfinite(abs(center) + abs(half))):
+                raise ConfigError("time_grid_s.half_span_s",
+                                  f"echo time {center} +- {half} s is not a finite grid")
+            time_grid = tuple(center + np.linspace(-half, half, grid["points"]))
         else:
-            homogeneous = HomogeneousNoiseSpec(np.array([
-                _value(item, "width", f"homogeneous.sigmas[{i}]")
-                for i, item in enumerate(section["sigmas"])]))
+            grid = _read(grid, _START_STOP_GRID, "time_grid_s")
+            start, stop = grid["start_s"], grid["stop_s"]
+            if not math.isfinite(stop - start):
+                raise ConfigError("time_grid_s.stop_s", f"span {start} .. {stop} s overflows")
+            time_grid = tuple(np.linspace(start, stop, grid["points"]))
 
-    grid = top["time_grid_s"]
-    if isinstance(grid, list):
-        time_grid = tuple(_number(item, f"time_grid_s[{i}]") for i, item in enumerate(grid))
-    elif not isinstance(grid, dict):
-        raise ConfigError("time_grid_s", "expected a list of seconds or a grid object")
-    elif "half_span_s" in grid:
-        grid = _read(grid, _HALF_SPAN_GRID, "time_grid_s")
-        half, center = grid["half_span_s"], sequence.echo_time
-        if not (math.isfinite(2.0 * half) and math.isfinite(abs(center) + abs(half))):
-            raise ConfigError("time_grid_s.half_span_s",
-                              f"echo time {center} +- {half} s is not a finite grid")
-        time_grid = tuple(center + np.linspace(-half, half, grid["points"]))
-    else:
-        grid = _read(grid, _START_STOP_GRID, "time_grid_s")
-        start, stop = grid["start_s"], grid["stop_s"]
-        if not math.isfinite(stop - start):
-            raise ConfigError("time_grid_s.stop_s", f"span {start} .. {stop} s overflows")
-        time_grid = tuple(np.linspace(start, stop, grid["points"]))
-
-    if top["rng_seed"] < 0:
-        raise ConfigError("rng_seed", f"must be >= 0, got {top['rng_seed']}")
-    return ExperimentConfig(
-        sequence=sequence, inhomogeneous=inhomogeneous, homogeneous=homogeneous,
-        cycles_per_point=top["cycles_per_point"], noise_draws=top["noise_draws"],
-        time_grid=time_grid, rng_seed=top["rng_seed"], zeeman_shift=top["zeeman_shift"],
-        contrast=top["contrast"], invert_fraction=top["invert_fraction"],
-        metadata=dict(top["metadata"]),
-    )
+        return ExperimentConfig(
+            sequence=sequence, inhomogeneous=inhomogeneous, homogeneous=homogeneous,
+            cycles_per_point=top["cycles_per_point"], noise_draws=top["noise_draws"],
+            time_grid=time_grid, rng_seed=top["rng_seed"], zeeman_shift=top["zeeman_shift"],
+            contrast=top["contrast"], invert_fraction=top["invert_fraction"],
+            metadata=dict(top["metadata"]),
+        )
+    except DomainError as exc:
+        raise _config_error(exc, {}) from None
 
 
 def _parse_sweep_section(doc: dict) -> dict:
@@ -436,31 +414,41 @@ def cmd_sweep_n(args) -> int:
     default_sigma = (base_config.homogeneous.sigma_sig
                      if base_config.homogeneous is not None else None)
 
-    # Every row's config and fringe grids are built, and so checked, before a scan writes.
+    # Each row's values (a row --n skips too, at n = 1), then each selected row's grids are
+    # built by their types, and so checked, before a scan writes.
     plan = []
-    for n in n_list:
-        if n < 1:
-            raise ConfigError("n", f"pulse numbers must be >= 1, got {n}")
-        row = sweep["rows"].get(n, {})
-        sigma_sig = row.get("sigma_sig", default_sigma)
-        if sigma_sig is None:
-            raise ConfigError(f"sweep.rows.{n}", "no sigma_sig available for this n")
-        where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
-        contrast = row.get("contrast", base_config.contrast)
-        kind = "spin_echo" if n == 1 else "cpmg"
-        sequence = replace(base_config.sequence, kind=kind, n=n,
-                           tau=max(base_config.sequence.tau, 1e-6))
-        config = replace(
-            base_config, sequence=sequence, contrast=contrast,
-            homogeneous=HomogeneousNoiseSpec.from_sigma_sig(sigma_sig, n),
-        )
-        lo, hi = sweep["span"]
-        taus = t2_prime(n, sigma_sig) * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
-        grids = _fringe_grids(config, taus, sweep["points_per_fringe"])
-        if not (0 < taus.min() <= taus.max() < math.inf
-                and all(np.all(np.diff(grid) > 0) for grid in grids)):
-            raise ConfigError(where, f"sigma_sig {sigma_sig} rad/s gives no finite increasing grid")
-        plan.append((n, config, taus))
+    try:
+        for n, row in sweep["rows"].items():
+            HomogeneousNoiseSpec.from_sigma_sig(row["sigma_sig"], 1)
+            replace(base_config, contrast=row["contrast"])
+        for n in n_list:
+            if n < 1:
+                raise ConfigError("n", f"pulse numbers must be >= 1, got {n}")
+            row = sweep["rows"].get(n, {})
+            sigma_sig = row.get("sigma_sig", default_sigma)
+            if sigma_sig is None:
+                raise ConfigError(f"sweep.rows.{n}", "no sigma_sig available for this n")
+            where = f"sweep.rows.{n}.sigma_sig" if "sigma_sig" in row else "homogeneous"
+            contrast = row.get("contrast", base_config.contrast)
+            kind = "spin_echo" if n == 1 else "cpmg"
+            sequence = replace(base_config.sequence, kind=kind, n=n,
+                               tau=max(base_config.sequence.tau, 1e-6))
+            config = replace(
+                base_config, sequence=sequence, contrast=contrast,
+                homogeneous=HomogeneousNoiseSpec.from_sigma_sig(sigma_sig, n),
+            )
+            lo, hi = sweep["span"]
+            taus = t2_prime(n, sigma_sig) * np.linspace(lo, hi, sweep["tau_points"]) / (2 * n)
+            grids = _fringe_grids(config, taus, sweep["points_per_fringe"])
+            if not (0 < taus.min() <= taus.max() < math.inf
+                    and all(np.all(np.diff(grid) > 0) for grid in grids)):
+                raise ConfigError(where,
+                                  f"sigma_sig {sigma_sig} rad/s gives no finite increasing grid")
+            plan.append((n, config, taus))
+    except DomainError as exc:  # a value of row n, or one it takes from the config's sections
+        where = f"sweep.rows.{n}.sigma_sig" if n in sweep["rows"] else "homogeneous"
+        raise _config_error(exc, {"sigma_sig": where, "sigmas": where,
+                                  "contrast": f"sweep.rows.{n}.contrast"}) from None
 
     summary = []
     for n, config, taus in plan:

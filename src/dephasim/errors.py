@@ -6,7 +6,15 @@ class DephasimError(Exception):
 
 
 class DomainError(DephasimError, ValueError):
-    """A physical or timing constraint was violated (e.g. readout before the last pulse)."""
+    """A physical or timing constraint was violated (e.g. readout before the last pulse).
+
+    ``field`` names the refused field of the type that raised it, such as ``"contrast"``
+    or ``"sigmas[0]"`` (an entry of a list field), or is None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConfigError(DephasimError, ValueError):

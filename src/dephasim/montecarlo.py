@@ -116,7 +116,7 @@ class ExperimentConfig:
     time_grid : tuple of float
         Readout times in seconds, strictly increasing.
     rng_seed : int
-        Master seed; all randomness derives from it.
+        Master seed (>= 0); all randomness derives from it.
     zeeman_shift : float
         Constant quadratic Zeeman detuning (rad/s) subtracted from the set
         detuning.
@@ -143,12 +143,14 @@ class ExperimentConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.cycles_per_point < 1:
-            raise DomainError(f"cycles_per_point must be >= 1, got {self.cycles_per_point}")
-        if self.noise_draws < 1:
-            raise DomainError(f"noise_draws must be >= 1, got {self.noise_draws}")
+        for count in ("cycles_per_point", "noise_draws"):
+            if getattr(self, count) < 1:
+                raise DomainError(f"{count} must be >= 1, got {getattr(self, count)}", field=count)
         if not 0.0 <= self.contrast <= 1.0:
-            raise DomainError(f"contrast must lie in [0, 1], got {self.contrast}")
+            raise DomainError(f"contrast must lie in [0, 1], got {self.contrast}",
+                              field="contrast")
+        if self.rng_seed < 0:
+            raise DomainError(f"must be >= 0, got {self.rng_seed}", field="rng_seed")
         grid = tuple(float(t) for t in self.time_grid)
         _check_increasing(np.array(grid))
         object.__setattr__(self, "time_grid", grid)
@@ -156,14 +158,14 @@ class ExperimentConfig:
             if self.homogeneous.sigmas.shape[0] != self.sequence.n:
                 raise DomainError(
                     f"homogeneous noise describes {self.homogeneous.sigmas.shape[0]} "
-                    f"intervals but the sequence has n = {self.sequence.n}"
+                    f"intervals but the sequence has n = {self.sequence.n}", field="sigmas"
                 )
 
 
 def _check_increasing(grid: np.ndarray) -> None:
     """The time-grid rule, for one grid or for each row of a (B, N) stack."""
     if np.any(grid[..., 1:] <= grid[..., :-1]):
-        raise DomainError("time grid must be strictly increasing")
+        raise DomainError("time grid must be strictly increasing", field="time_grid")
 
 
 def _column(values, name: str, integral: bool) -> np.ndarray:
@@ -459,7 +461,7 @@ def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> np.
                - (config.inhomogeneous.delta0 if config.inhomogeneous else 0.0))
     if abs(carrier) < 1e-9:
         raise DomainError("visibility scan needs a nonzero effective carrier detuning "
-                          "to produce fringes")
+                          "to produce fringes", field="delta")
     taus = np.asarray(taus, dtype=float)
     half_spans = np.array([min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau)
                            for tau in taus.tolist()])

@@ -60,7 +60,7 @@ class LightShiftDistribution:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+            raise DomainError(f"eta must be positive, got {self.eta}", field="eta")
 
     @staticmethod
     def from_t2_star(t2_star: float, delta0: float = 0.0) -> "LightShiftDistribution":
@@ -71,7 +71,7 @@ class LightShiftDistribution:
         characteristic function.
         """
         if not t2_star > 0:
-            raise DomainError(f"T2* must be positive, got {t2_star}")
+            raise DomainError(f"T2* must be positive, got {t2_star}", field="t2_star")
         return LightShiftDistribution(delta0=delta0, eta=t2_star / T2_STAR_PER_ETA)
 
 
@@ -152,12 +152,16 @@ class HomogeneousNoiseSpec:
     def __post_init__(self):
         sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
         if sigmas.ndim != 1 or sigmas.shape[0] < 1:
-            raise DomainError("sigmas must be a non-empty one-dimensional list")
+            raise DomainError("expected a non-empty list of frequencies "
+                              "(a non-empty one-dimensional array)", field="sigmas")
         if np.any(sigmas < 0):
-            raise DomainError("all sigma_i must be >= 0")
+            i = int(np.argmax(sigmas < 0))
+            raise DomainError(f"sigmas[{i}] must be >= 0, got {sigmas[i]} rad/s",
+                              field=f"sigmas[{i}]")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(sigmas**2)):
-                raise DomainError(f"sigmas {sigmas.tolist()}: the quadrature sum is not finite")
+                raise DomainError(f"sigmas {sigmas.tolist()}: the quadrature sum is not finite",
+                                  field="sigmas")
         object.__setattr__(self, "sigmas", sigmas)
 
     @property
@@ -176,7 +180,7 @@ class HomogeneousNoiseSpec:
         a reporting convention, not a physics statement.
         """
         if sigma_sig < 0:
-            raise DomainError(f"sigma_sig must be >= 0, got {sigma_sig}")
+            raise DomainError(f"sigma_sig must be >= 0, got {sigma_sig} rad/s", field="sigma_sig")
         if n < 1:
-            raise DomainError(f"need at least one interval, got n = {n}")
+            raise DomainError(f"need at least one interval, got n = {n}", field="sigma_sig")
         return HomogeneousNoiseSpec(np.full(n, sigma_sig / np.sqrt(n)))

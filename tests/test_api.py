@@ -31,3 +31,16 @@ def test_readme_library_example_runs(capsys):
     assert math.isfinite(fit.params["t2_prime"])
     printed = capsys.readouterr().out.split()
     assert [float(x) for x in printed] == [fit.params["sigma_sig"], fit.params["t2_prime"]]
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: dephasim.SequenceSpec("cpmg", 2, tau=0.0), "tau"),
+    (lambda: dephasim.LightShiftDistribution.from_t2_star(-1e-3), "t2_star"),
+    (lambda: dephasim.HomogeneousNoiseSpec([27.6, -1.0]), "sigmas[1]"),
+    (lambda: dephasim.ExperimentConfig(dephasim.SequenceSpec("ramsey", 0), contrast=1.5),
+     "contrast"),
+], ids=["SequenceSpec", "LightShiftDistribution", "HomogeneousNoiseSpec", "ExperimentConfig"])
+def test_a_refusal_names_the_field_it_refuses(make, field):
+    with pytest.raises(dephasim.DomainError) as refused:
+        make()
+    assert refused.value.field == field

@@ -544,16 +544,116 @@ def test_sweep_empty_n_list_exits_2(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
-def test_sigmas_with_an_overflowing_quadrature_sum_exit_3(tmp_path, capsys, monkeypatch):
+def test_sigmas_with_an_overflowing_quadrature_sum_exit_2_naming_the_key(tmp_path, capsys,
+                                                                         monkeypatch):
     import dephasim.cli as cli
     monkeypatch.setattr(cli, "scan_visibility", None)  # must fail before any scan
     doc = sweep_doc()
     doc["homogeneous"] = {"sigmas": [{"value": 1e200, "angular": True}]}
     config = write_config(tmp_path / "cfg.json", doc)
-    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)]) == 3
+    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "error: sigmas [1e+200]: the quadrature sum is not finite" in err
-    assert "Traceback" not in err
+    assert err == "error: homogeneous.sigmas: sigmas [1e+200]: the quadrature sum is not finite\n"
+
+
+def _cpmg_with_one_sigma(doc):
+    doc["sequence"] = {"kind": "cpmg", "n": 2, "tau_s": 1e-3}
+    doc["homogeneous"] = {"sigmas": [{"value": 1.0, "angular": True}]}
+    doc["time_grid_s"] = [0.004, 0.005]
+
+
+def _decreasing_grid(doc):
+    doc["time_grid_s"] = [0.002, 0.001]
+
+
+def _zero_carrier(doc):
+    doc["sequence"]["delta"] = {"value": 0.0, "angular": False}
+
+
+@pytest.mark.parametrize("command, make_doc, line", [
+    ("simulate", _cpmg_with_one_sigma, "homogeneous.sigmas: homogeneous noise describes 1 "
+                                       "intervals but the sequence has n = 2"),
+    ("simulate", _decreasing_grid, "time_grid_s: time grid must be strictly increasing"),
+    ("sweep-n", _zero_carrier, "sequence.delta: visibility scan needs a nonzero effective "
+                               "carrier detuning to produce fringes"),
+], ids=["sigmas-length", "decreasing-grid", "zero-carrier"])
+def test_a_value_its_type_refuses_exits_2_naming_its_key(tmp_path, capsys, monkeypatch,
+                                                        command, make_doc, line):
+    monkeypatch.setattr("dephasim.cli.scan_visibility", None)  # must fail before any scan
+    doc = ramsey_doc() if command == "simulate" else sweep_doc(sigma_sig=40.0)
+    make_doc(doc)
+    config = write_config(tmp_path / "cfg.json", doc)
+    flags = (["--output", str(tmp_path / "run")] if command == "simulate"
+             else ["--n", "1", "--outdir", str(tmp_path)])
+    assert main([command, "--config", config, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
+#: One example per row of the README exit-code table, in its order: (argv, a change to
+#: the Ramsey config written to {tmp}/cfg.json, exit code, start of stderr).
+EXIT_CODE_EXAMPLES = [
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"], {}, 0, ""),
+    (["simulate", "--config", "{tmp}/cfg.json"], {}, 2, "usage: "),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"], {"contrast": "x"}, 2,
+     "error: contrast: expected a number, got 'x'\n"),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"],
+     {"time_grid_s": [0.002, 0.001]}, 2,
+     "error: time_grid_s: time grid must be strictly increasing\n"),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"],
+     {"noise_draws": 2**62}, 2, "error: noise_draws: must be <= 768614336404564650 "),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"],
+     {"noise_draws": 10**15}, 2, "error: out of memory: "),
+    (["fit", "--data", "{tmp}/bad.csv", "--model", "ramsey"], {}, 2, "error: row 2: "),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/cfg"], {}, 2,
+     "error: {tmp}/cfg.json: this output path is the input file; nothing was written\n"),
+    (["fit", "--data", "{run}/run.csv", "--model", "rabi", "--n", "2"], {}, 2,
+     "error: n: rabi fits take no --n\n"),
+    (["fit", "--data", "{tmp}/empty.csv", "--model", "ramsey"], {}, 2,
+     "error: {tmp}/empty.csv: the table has no data rows to fit\n"),
+    (["fit", "--data", "{run}/run.csv", "--model", "cpmg_fringe", "--n", "-1", "--tau-s", "1e-3"],
+     {}, 2, "error: pulse count n must be >= 0, got -1\n"),
+    (["sweep-n", "--config", "{tmp}/cfg.json", "--n", "0", "--outdir", "{tmp}"],
+     {"sequence": {"kind": "cpmg", "n": 1, "tau_s": 1e-3},
+      "homogeneous": {"sigma_sig": {"value": 27.6, "angular": True}}}, 2,
+     "error: n: pulse numbers must be >= 1, got 0\n"),
+    (["simulate", "--config", "{tmp}/cfg.json", "--output", "{tmp}/run"],
+     {"sequence": {"kind": "spin_echo", "n": 1, "tau_s": 0.005}}, 3,
+     "error: readout time violates t >= (2n-1)*tau = 0.005 "),
+    (["fit", "--data", "{run}/run.csv", "--model", "ramsey", "--strict"], {}, 4,
+     "fit did not converge (--strict)\n"),
+]
+
+
+def _exit_code_table():
+    """The codes of the README exit-code table, one per row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [int(line.split("|")[1]) for line in section.splitlines()
+            if line.startswith("| ") and line.split("|")[1].strip().isdigit()]
+
+
+def test_the_exit_code_table_has_one_example_per_row():
+    assert _exit_code_table() == [code for *_, code, _ in EXIT_CODE_EXAMPLES]
+
+
+@pytest.mark.parametrize("argv, change, code, err", EXIT_CODE_EXAMPLES,
+                         ids=[f"row-{i}" for i in range(len(EXIT_CODE_EXAMPLES))])
+def test_each_row_of_the_exit_code_table(ramsey_run, tmp_path, capsys, monkeypatch,
+                                         argv, change, code, err):
+    import dephasim.cli as cli
+    if code == 4:
+        monkeypatch.setitem(cli.FITTERS, "ramsey", stalled(cli.FITTERS["ramsey"]))
+    doc = ramsey_doc()
+    doc["time_grid_s"]["points"] = 5
+    doc.update(change)
+    write_config(tmp_path / "cfg.json", doc)
+    header = "time_s,fraction,trials,successes\n"
+    (tmp_path / "empty.csv").write_text(header, encoding="utf-8")
+    (tmp_path / "bad.csv").write_text(header + "0.001,0.5,100,50\n0.002,0.9,100,120\n",
+                                      encoding="utf-8")
+    assert main([arg.format(tmp=tmp_path, run=ramsey_run) for arg in argv]) == code
+    assert capsys.readouterr().err.startswith(err.format(tmp=tmp_path))
 
 
 @pytest.mark.parametrize("command", [
@@ -746,6 +846,25 @@ def test_sweep_value_out_of_range_exits_2_naming_its_key_before_the_first_scan(
     outdir.mkdir()
     assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)]) == 2
     assert f"error: {named}" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("row, named", [
+    ({"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 1.3},
+     "sweep.rows.6.contrast: contrast must lie in [0, 1], got 1.3"),
+    ({"sigma_sig": {"value": -27.6, "angular": True}},
+     "sweep.rows.6.sigma_sig: sigma_sig must be >= 0, got -27.6 rad/s"),
+], ids=["row-contrast", "negative-row-sigma-sig"])
+def test_sweep_checks_the_rows_n_skips_before_the_first_scan(tmp_path, capsys, monkeypatch,
+                                                             row, named):
+    # --n 1 selects row 1 only; row 6 is refused all the same, naming its key.
+    monkeypatch.setattr("dephasim.cli.scan_visibility", None)  # must fail before any scan
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}}, "6": row}
+    config = write_config(tmp_path / "cfg.json", sweep_doc(rows=rows))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["sweep-n", "--config", config, "--n", "1", "--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
     assert list(outdir.iterdir()) == []
 
 
