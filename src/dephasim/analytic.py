@@ -90,8 +90,8 @@ def _envelope(x, t2_star, n):
 
     Unchecked; t2_star is a number, or a (B, 1) column for a (B, N) stack of fringes.
     """
-    kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
-    with np.errstate(over="ignore"):  # kr**2 = inf gives alpha's correct limit, 0
+    with np.errstate(over="ignore"):  # kr or kr**2 = inf gives alpha's correct limit, 0
+        kr = T2_STAR_PER_ETA * np.asarray(x, dtype=float) / t2_star
         return (-1.0) ** n * (1.0 + kr**2) ** -1.5, -3.0 * np.arctan(kr)
 
 

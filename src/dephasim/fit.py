@@ -579,8 +579,7 @@ def _frequencies(x: np.ndarray, y: np.ndarray, oversample: int = 8,
     if not sizes:
         return results
     rows = list(sizes)
-    if len(rows) < len(results):
-        x, centered = x[rows], centered[rows]
+    x, centered = x[rows], centered[rows]
     index, step, lengths = _lattice(x, np.array([spacings[b] for b in rows]))
     groups = {}
     for r, (b, k_len) in enumerate(zip(rows, lengths.tolist())):
@@ -596,11 +595,7 @@ def _frequencies(x: np.ndarray, y: np.ndarray, oversample: int = 8,
         omegas = 2 * np.pi * np.linspace(0.5 / np.array([spans[b] for b in picked]),
                                          0.5 / np.array([spacings[b] for b in picked]),
                                          n_grid).T
-        if len(members) < len(rows):  # else the arrays as they stand: one record, one lattice
-            power = _chirp_z_power(index[members], step[members], centered[members], omegas,
-                                   k_len)
-        else:
-            power = _chirp_z_power(index, step, centered, omegas, k_len)
+        power = _chirp_z_power(index[members], step[members], centered[members], omegas, k_len)
         best = omegas[np.arange(len(members)), np.argmax(power, axis=-1)]
         for b, omega in zip(picked, best.tolist()):
             results[b] = omega
@@ -733,13 +728,11 @@ def _fit_fringes(x, y, weight, n: int, taus, t2_star) -> list:
     rows = [b for b, start in enumerate(results) if not isinstance(start, FitError)]
     if not rows:
         return results
-    taus, delta0 = np.asarray(taus, dtype=float), [results[b] for b in rows]
-    if len(rows) < len(results):
-        x, y, weight, taus = x[rows], y[rows], weight[rows], taus[rows]
+    x, y, weight, taus = x[rows], y[rows], weight[rows], np.asarray(taus, dtype=float)[rows]
     co_fit = t2_star is None
     offset = 2 * n * taus[:, None]
     visibility0 = np.minimum(np.maximum(y.max(axis=-1) - y.min(axis=-1), 0.05), 1.0)
-    columns = [visibility0, delta0, np.zeros_like(visibility0)]
+    columns = [visibility0, [results[b] for b in rows], np.zeros_like(visibility0)]
     names = ("visibility", "delta_prime", "phase")
     bounds = [(0.0, 1.5), (0.0, None), None]
     if co_fit:

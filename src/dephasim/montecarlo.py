@@ -32,10 +32,10 @@ float64 values, and the mean within about 2**-23*(1 + 20*x/eta) (E|L| = 3):
 5e-6 at x/eta = 2.08, the end of the README Ramsey grid, against a Monte
 Carlo standard error of the mean of about 5e-3 at a dephased point and
 20 000 draws.
-Where float32 theta could overflow (|x/eta| > 2**121, or not finite), theta,
-cosine and sine are float64.  A config without inhomogeneous noise is one
-deterministic phase per time, exact float64, and a dataset evaluates its
-whole grid in one array call.
+Where float32 theta could overflow (|x/eta| > 2**121), theta, cosine and sine
+are float64; where x/eta is not finite, chi takes its limit 0.  Without
+inhomogeneous noise chi = 1 exactly: the same formula is the exact float64
+cos(a), one array expression over the whole grid, and draws nothing.
 
 Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid point
@@ -49,7 +49,8 @@ one stream per row give the (B, N) success counts, from one
 ``ensemble_probability`` call (with a light shift, row b draws point by point
 from stream b, rows in order) and one binomial call per row from its stream.
 A dataset is a stack of one row; a visibility scan has one row per pulse
-spacing (a (B, 1) column in its sequence) and fits all its rows in one stack.
+spacing (a (B, 1) column in its sequence), its grids built and checked by the
+scan's one grid rule (``_fringe_grids``), and fits all its rows in one stack.
 
 Files: each CSV table is declared once, as its header and column kinds
 (``_DATASET_TABLE``, ``_VISIBILITY_TABLE``); ``_write_table`` writes it and
@@ -152,7 +153,8 @@ class ExperimentConfig:
         if self.rng_seed < 0:
             raise DomainError(f"must be >= 0, got {self.rng_seed}", field="rng_seed")
         grid = tuple(float(t) for t in self.time_grid)
-        _check_increasing(np.array(grid))
+        if np.any(np.array(grid[1:]) <= grid[:-1]):
+            raise DomainError("time grid must be strictly increasing", field="time_grid")
         object.__setattr__(self, "time_grid", grid)
         if self.homogeneous is not None and self.sequence.n >= 1:
             if self.homogeneous.sigmas.shape[0] != self.sequence.n:
@@ -160,12 +162,6 @@ class ExperimentConfig:
                     f"homogeneous noise describes {self.homogeneous.sigmas.shape[0]} "
                     f"intervals but the sequence has n = {self.sequence.n}", field="sigmas"
                 )
-
-
-def _check_increasing(grid: np.ndarray) -> None:
-    """The time-grid rule, for one grid or for each row of a (B, N) stack."""
-    if np.any(grid[..., 1:] <= grid[..., :-1]):
-        raise DomainError("time grid must be strictly increasing", field="time_grid")
 
 
 def _column(values, name: str, integral: bool) -> np.ndarray:
@@ -367,15 +363,15 @@ def _phasor(log_g: np.ndarray, s: float):
 def ensemble_probability(config: ExperimentConfig, t, rng):
     """Ensemble-averaged success probability at readout time t, or at each time of a grid t.
 
-    With a light shift delta0 - L/eta, the phase is Phi = a + theta with the
-    carrier phase a = ``accumulated_phase(delta_eff - delta0, ...)`` = (delta_eff -
-    delta0)*x, float64 and one per time, and theta = L*x/eta.  So
-    mean cos(Phi) = cos(a)*Re(chi) - sin(a)*Im(chi), where chi(x) = E[exp(i*L*x/eta)]
-    = (1 + i*x/eta)**-3 is the characteristic function of the shifted-Gamma law.
-    Each time estimates chi from ``config.noise_draws`` float32 draws of L
-    (``gamma3_log``), drawn in grid order: the cosines and sines of ``_phasor``,
-    averaged in float64.  With no inhomogeneous noise the one phase per time
-    keeps the exact float64 cosine, one array expression over the grid.
+    One formula: with x = t - 2*n*tau and the carrier phase a = (delta_eff - delta0)*x,
+    float64 and one per time (delta0 = 0 without a light shift), mean cos(Phi) =
+    cos(a)*Re(chi) - sin(a)*Im(chi), where chi(x) = E[exp(i*L*x/eta)] = (1 + i*x/eta)**-3
+    is the characteristic function of the shifted-Gamma light shift delta0 - L/eta.
+    Without inhomogeneous noise chi = 1 exactly: the mean is cos(a), exact float64.
+    With it, each time estimates chi from ``config.noise_draws`` float32 draws of L
+    (``gamma3_log``), drawn in grid order: the cosines and sines of ``_phasor``, averaged
+    in float64; where x/eta is not finite the draws are made and chi is its limit, 0.
+    A carrier that overflows has no limit: its NaN is refused by ``_simulate``.
     Homogeneous noise at n >= 1 multiplies that mean by the exact Gaussian average
     exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
     and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
@@ -385,22 +381,23 @@ def ensemble_probability(config: ExperimentConfig, t, rng):
     ``rng`` a list of B generators, row b's draws coming from ``rng[b]`` (or one
     generator, drawn from row after row).
     """
-    seq = config.sequence
-    delta_eff = seq.delta - config.zeeman_shift
-    if config.inhomogeneous is None:  # one deterministic phase per readout time
-        mean_cos = np.cos(accumulated_phase(delta_eff, seq.tau, seq.n, t))
-    else:
-        dist = config.inhomogeneous
-        x = accumulated_phase(1.0, seq.tau, seq.n, t)  # t - 2*n*tau, timing rule checked
-        carrier = (delta_eff - dist.delta0) * x
+    seq, dist = config.sequence, config.inhomogeneous
+    x = accumulated_phase(1.0, seq.tau, seq.n, t)  # t - 2*n*tau, timing rule checked
+    chi = 1 + 0j
+    if dist is not None:
         rows = len(seq.tau) if isinstance(seq.tau, np.ndarray) else 1
         streams = rng if isinstance(rng, list) else [rng] * rows
-        chi = np.empty(np.shape(t), dtype=complex)
-        for row, stream, scaled in zip(chi.reshape(rows, -1), streams,
-                                       np.reshape(x / dist.eta, (rows, -1))):
-            for i, s in enumerate(scaled.tolist()):
-                cos, sin = _phasor(gamma3_log(stream, config.noise_draws), s)
-                row[i] = complex(np.mean(cos, dtype=np.float64), np.mean(sin, dtype=np.float64))
+        chi = np.zeros(np.shape(t), dtype=complex)  # its limit where x/eta is not finite
+        with np.errstate(over="ignore"):
+            scaled = np.reshape(x / dist.eta, (rows, -1))
+        for row, stream, row_scaled in zip(chi.reshape(rows, -1), streams, scaled):
+            for i, s in enumerate(row_scaled.tolist()):
+                log_g = gamma3_log(stream, config.noise_draws)
+                if math.isfinite(s):
+                    cos, sin = _phasor(log_g, s)
+                    row[i] = complex(np.mean(cos, dtype=np.float64), np.mean(sin, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN where the carrier overflows
+        carrier = (seq.delta - config.zeeman_shift - (dist.delta0 if dist else 0.0)) * x
         mean_cos = np.cos(carrier) * chi.real - np.sin(carrier) * chi.imag
     if config.homogeneous is not None and seq.n >= 1:
         mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
@@ -456,7 +453,15 @@ _CARRIER_PERIODS = 3.0  # fringe periods a scan covers, when 0.95 tau on each si
 
 
 def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> np.ndarray:
-    """Readout times of a scan's fringes, one row per tau, symmetric around echo time 2*n*tau."""
+    """Readout times of a scan's fringes, one row per tau, symmetric around echo time 2*n*tau.
+
+    The scan's grid rule, checked before anything is drawn: a DomainError names the
+    field of a sequence without a refocusing pulse (``n``), a zero carrier (``delta``),
+    or a spacing not positive or whose grid is not finite and strictly increasing (``tau``).
+    """
+    n = config.sequence.n
+    if n < 1:
+        raise DomainError("visibility scans need at least one refocusing pulse", field="n")
     carrier = (config.sequence.delta - config.zeeman_shift
                - (config.inhomogeneous.delta0 if config.inhomogeneous else 0.0))
     if abs(carrier) < 1e-9:
@@ -465,8 +470,14 @@ def _fringe_grids(config: ExperimentConfig, taus, points_per_fringe: int) -> np.
     taus = np.asarray(taus, dtype=float)
     half_spans = np.array([min(_CARRIER_PERIODS * math.pi / abs(carrier), 0.95 * tau)
                            for tau in taus.tolist()])
-    return (2 * config.sequence.n * taus[:, None]
-            + np.linspace(-half_spans, half_spans, points_per_fringe, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        grids = 2 * n * taus[:, None] + np.linspace(-half_spans, half_spans, points_per_fringe,
+                                                    axis=-1)
+    good = (taus > 0) & np.isfinite(grids).all(-1) & (grids[:, 1:] > grids[:, :-1]).all(-1)
+    if not good.all():
+        raise DomainError(f"pulse spacing {taus[np.argmin(good)]} s gives no finite, strictly "
+                          "increasing fringe grid", field="tau")
+    return grids
 
 
 def scan_visibility(
@@ -477,7 +488,8 @@ def scan_visibility(
     """Two-stage visibility extraction over a grid of pulse spacings.
 
     For each tau, the readout pulse time is scanned symmetrically around the
-    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods).  The
+    echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods); a scan its
+    grid rule refuses (``_fringe_grids``) raises DomainError before any draw.  The
     scan is one (B, N) stack, one row per tau, from grid to fit: ``_simulate``
     samples every fringe (its pulse spacings a column), each from its own
     stream, and all fringes are fitted in one stacked call, each with the
@@ -485,8 +497,6 @@ def scan_visibility(
     failures are reported per point (``ok = False``), never raised.
     """
     seq = config.sequence
-    if seq.n < 1:
-        raise DomainError("visibility scans need at least one refocusing pulse")
     t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
     taus = np.array([float(tau) for tau in tau_grid])
     grids = _fringe_grids(config, taus, points_per_fringe)
@@ -496,7 +506,6 @@ def scan_visibility(
         entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0]))
         for j in range(taus.size)]
     scan = replace(config, sequence=replace(seq, tau=taus[:, None]), time_grid=())
-    _check_increasing(grids)
     successes = _simulate(scan, grids, streams)
     cycles = int(config.cycles_per_point)
     if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2

@@ -24,6 +24,7 @@ from dephasim.bloch import SEQUENCE_KINDS
 from dephasim.errors import ConfigError, DataFormatError, DomainError
 from dephasim.fit import FitResult, weighted_points
 from dephasim.montecarlo import FringeDataset, VisibilityPoint
+from dephasim.noise import gamma3_log
 
 
 def write_config(path, doc):
@@ -461,6 +462,64 @@ def test_simulate_at_a_vanishing_t2_star_exits_0_without_warnings(tmp_path, caps
     assert fractions.size == 120 and np.all((fractions >= 0) & (fractions <= 1))
 
 
+def test_simulate_where_x_over_eta_overflows_takes_chi_at_its_limit(tmp_path, capsys):
+    # At T2* = 1e-320 s, eta is subnormal and x/eta infinite at every readout time:
+    # chi takes its limit 0, so every fraction is 1/2 in expectation.  The draws
+    # are made all the same, in grid order, before the counts.  Any warning is an
+    # error here.
+    doc = ramsey_doc()
+    doc["inhomogeneous"] = {"t2_star_s": 1e-320}
+    config = write_config(tmp_path / "cfg.json", doc)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "run.csv", "run.json", "run.manifest.json"]
+    rng = np.random.default_rng(19)
+    for _ in range(120):
+        gamma3_log(rng, 20000)
+    successes = FringeDataset.read_csv(tmp_path / "run.csv").successes
+    assert np.array_equal(successes, rng.binomial(200, np.full(120, 0.5)))
+
+
+def test_sweep_where_x_over_eta_overflows_exits_0_without_warnings(tmp_path, capsys):
+    # eta = 1e-320 s: chi is 0 off each echo, and the held envelope of
+    # T2* = 0.97 eta is 0 there too, its limit.  Any warning is an error here.
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}, "contrast": 0.687},
+            "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 0.602}}
+    doc = sweep_doc(rows=rows)
+    doc["inhomogeneous"] = {"eta_s": 1e-320}
+    config = write_config(tmp_path / "cfg.json", doc)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["sweep-n", "--config", config, "--n", "1,6", "--outdir", str(outdir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (outdir / "visibility_n6.csv").exists() and (outdir / "summary.json").exists()
+
+
+def test_fit_at_a_vanishing_held_t2_star_takes_the_envelope_limit(ramsey_run, capsys):
+    # k*x/T2* overflows at T2* = 1e-320 s: the envelope takes its limit 0 without a
+    # warning (an error here).
+    assert main(["fit", "--data", str(ramsey_run / "run.csv"), "--model", "ramsey",
+                 "--t2-star-s", "1e-320"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("light_shift", [True, False])
+def test_simulate_whose_carrier_overflows_exits_3_with_one_error_line(tmp_path, capsys,
+                                                                      light_shift):
+    # delta*t passes the largest float beyond t = 1.06 s at delta = 1.7e308 rad/s: the
+    # carrier phase has no limit, so the run is refused, with no warning, nothing written.
+    doc = ramsey_doc()
+    doc["sequence"]["delta"] = {"value": 1.7e308, "angular": True}
+    doc["time_grid_s"] = {"start_s": 0.5, "stop_s": 2.0, "points": 4}
+    if not light_shift:
+        del doc["inhomogeneous"]
+    config = write_config(tmp_path / "cfg.json", doc)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == "error: probabilities must lie in [0, 1]\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("time_grid_s", [0.001, math.nan], "time_grid_s[1]: expected a finite number"),
     ("sequence.delta.value", math.inf, "sequence.delta.value: expected a finite number"),
@@ -799,9 +858,9 @@ def test_sweep_row_keys_must_name_their_pulse_number_exactly(tmp_path, capsys, m
 def test_sweep_checks_every_row_grid_before_the_first_scan(tmp_path, capsys, sigma_sig, source):
     # sigma_sig = 0 gives T2' = inf and infinite pulse spacings; 1e-300 rad/s gives
     # spacings near 1e300 s, at which the fringe's readout times round to one
-    # value; 5e-310 overflows T2'.  Row 6 is refused, naming where its sigma_sig
-    # came from (its row, or the homogeneous section), before row 1 is scanned,
-    # so nothing is written.
+    # value; 5e-310 overflows T2'.  The scan's own grid rule refuses row 6, and
+    # the CLI names where its sigma_sig came from (its row, or the homogeneous
+    # section), before row 1 is scanned, so nothing is written.
     bad = {"sigma_sig": {"value": sigma_sig, "angular": True}}
     rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}}}
     if source == "row":
@@ -814,8 +873,8 @@ def test_sweep_checks_every_row_grid_before_the_first_scan(tmp_path, capsys, sig
     assert rc == 2
     key = "sweep.rows.6.sigma_sig" if source == "row" else "homogeneous"
     err = capsys.readouterr().err
-    assert f"error: {key}: sigma_sig " in err  # the quadrature sum of tiny sigmas may read 0
-    assert "rad/s gives no finite increasing grid" in err
+    assert f"error: {key}: pulse spacing " in err
+    assert " s gives no finite, strictly increasing fringe grid" in err
     assert list(outdir.iterdir()) == []
 
 
@@ -1210,8 +1269,9 @@ def sweep_configs(draw):
 def test_sweep_n_on_any_config_exits_0_2_or_3_without_a_traceback(case):
     # main returns the exit code of every refused config, value or failed fit;
     # anything else would escape it as an exception and fail this test.
-    # A numpy RuntimeWarning (an envelope of T2* = 1e-300 s overflows to its limit
-    # 0) is printed, not raised, outside the test suite's warnings-as-errors.
+    # A numpy RuntimeWarning is printed, not raised, outside the test suite's
+    # warnings-as-errors: the fits still warn where a value overflows to its
+    # limit (the covariance in fit._fit_stack, sigma_sig**2 in analytic._visibility).
     doc, n_list = case
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -1277,9 +1337,8 @@ def simulate_configs(draw):
 @given(simulate_configs())
 def test_simulate_on_any_config_exits_0_2_or_3_without_a_traceback(doc):
     # As for sweep-n: every refused config, value or grid returns its exit code
-    # from main, and a run that succeeds writes its three outputs.
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # from main, with no RuntimeWarning, and a run that succeeds writes its three outputs.
+    with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp) / "cfg.json", doc)
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

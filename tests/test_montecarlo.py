@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bloch_oracle import evolve
+import dephasim.montecarlo as montecarlo
 from dephasim.analytic import (
     T2_STAR_PER_ETA,
+    _gaussian_factor,
+    _readout,
     envelope_alpha,
     envelope_kappa,
     fraction_from_w,
@@ -341,6 +344,61 @@ def test_grid_call_equals_the_per_point_calls(cfg, light_shift):
     else:
         assert np.all(np.abs(p - per_point) <= ROUNDING_BOUND)
         assert first.bit_generator.state == state
+
+
+def noise_free_reference(config, t):
+    """The ensemble average without a light shift, written as its own branch.
+
+    The exact float64 cosine of the one phase per time, times the jump factor G
+    when the config has jumps: readout(contrast * (-1)**n * cos(phase) * G).
+    """
+    seq = config.sequence
+    mean_cos = np.cos(accumulated_phase(seq.delta - config.zeeman_shift, seq.tau, seq.n, t))
+    if config.homogeneous is not None and seq.n >= 1:
+        mean_cos = mean_cos * _gaussian_factor(jump_weights(seq.tau, seq.n, t),
+                                               config.homogeneous.sigmas)
+    return _readout(config.contrast * ((-1.0) ** seq.n * mean_cos), config.invert_fraction)
+
+
+@st.composite
+def noise_free_configs(draw):
+    """A config without a light shift and readout times on or off the echo.
+
+    Ramsey without noise, or n = 1..6 with or without jumps; a CPMG config may
+    take a (B, 1) column of spacings against a (B, N) grid.
+    """
+    n = draw(st.integers(0, 6))
+    rows = draw(st.integers(1, 4)) if n and draw(st.booleans()) else 0
+    spacings = draw(st.lists(st.floats(1e-4, 1e-2), min_size=max(rows, 1),
+                             max_size=max(rows, 1)))
+    tau = np.array(spacings)[:, None] if rows else (spacings[0] if n else 0.0)
+    seq = SequenceSpec({0: "ramsey", 1: "spin_echo"}.get(n, "cpmg"), n, tau=tau,
+                       delta=draw(st.floats(-2 * math.pi * 2e3, 2 * math.pi * 2e3)))
+    jumps = n and draw(st.booleans())
+    offsets = [0.0] if n and draw(st.booleans()) else draw(  # on the echo, or off it
+        st.lists(st.floats(0.0 if n == 0 else -0.99, 4.0), min_size=1, max_size=9))
+    t = 2 * n * tau + np.array(offsets) * (tau if n else 1e-3)
+    config = ExperimentConfig(
+        sequence=seq,
+        homogeneous=HomogeneousNoiseSpec(draw(st.lists(st.floats(0.0, 400.0), min_size=n,
+                                                       max_size=n))) if jumps else None,
+        zeeman_shift=draw(st.sampled_from([0.0, 2 * math.pi * 37.0, -2 * math.pi * 500.0])),
+        contrast=draw(st.floats(0.0, 1.0)), invert_fraction=draw(st.booleans()),
+    )
+    return config, t
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=noise_free_configs())
+def test_the_ensemble_average_without_a_light_shift_is_the_exact_cosine_bit_for_bit(case):
+    # With chi = 1 exactly, cos(a)*Re(chi) - sin(a)*Im(chi) is cos(a), and the
+    # carrier (delta_eff - 0)*(1*x) is the phase delta_eff*x: the one formula
+    # gives the noise-free branch bit for bit and draws nothing.
+    config, t = case
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert np.array_equal(ensemble_probability(config, t, rng), noise_free_reference(config, t))
+    assert rng.bit_generator.state == state
 
 
 def test_contrast_and_inversion_flow_through():
@@ -873,6 +931,32 @@ def test_scan_preconditions():
     cfg = ExperimentConfig(sequence=seq)
     with pytest.raises(DomainError):
         scan_visibility(cfg, [1e-3])      # zero carrier, no fringe to fit
+
+
+@pytest.mark.parametrize("seq, field", [
+    (SequenceSpec("ramsey", 0, delta=2 * math.pi * 1e3), "n"),
+    (SequenceSpec("spin_echo", 1, tau=1e-3, delta=0.0), "delta"),
+], ids=["no-refocusing-pulse", "zero-carrier"])
+def test_a_scan_names_the_field_its_grid_rule_refuses(seq, field):
+    with pytest.raises(DomainError) as caught:
+        scan_visibility(ExperimentConfig(sequence=seq), [1e-3])
+    assert caught.value.field == field
+
+
+@pytest.mark.parametrize("tau", [math.inf, 1e300, math.nan, 0.0])
+def test_a_scan_refuses_a_spacing_without_a_finite_increasing_grid_before_any_draw(
+        monkeypatch, tau):
+    # An infinite spacing gives infinite readout times, one near 1e300 s rounds its
+    # readout times together, NaN gives NaN times and 0 one time: the scan's own grid
+    # rule refuses each, naming tau, before anything is drawn.
+    def no_draws(*args):
+        raise AssertionError("drew before the grid rule refused the scan")
+
+    monkeypatch.setattr(montecarlo, "_simulate", no_draws)
+    with pytest.raises(DomainError, match=r"pulse spacing .* s gives no finite, strictly "
+                                          r"increasing fringe grid") as caught:
+        scan_visibility(pipeline_config(2, 40.0, 0.7, 3), [5e-3, tau])
+    assert caught.value.field == "tau"
 
 
 def test_a_scan_over_no_pulse_spacings_is_empty():
