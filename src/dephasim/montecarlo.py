@@ -18,8 +18,8 @@ larger variance.  The mean w, times the fringe contrast, goes through the
 readout map (``analytic.fraction_from_w`` without its range check, which a
 mean of cosines cannot fail), and finite measurement statistics are emulated
 by drawing successes from a binomial with ``cycles_per_point`` trials.  A
-visibility scan of an ``invert_fraction`` config fits the complementary
-counts, the same fringe in the default readout.
+visibility scan of an ``invert_fraction`` config simulates the default
+readout, the same fringe counted from the other state.
 
 Kernel precision: with the light shift delta0 - L/eta, phi = a + L*x/eta,
 the carrier phase a = (delta_eff - delta0)*x in float64, so the mean of cos(phi)
@@ -32,8 +32,8 @@ float64 values, and the mean within about 2**-23*(1 + 20*x/eta) (E|L| = 3):
 5e-6 at x/eta = 2.08, the end of the README Ramsey grid, against a Monte
 Carlo standard error of the mean of about 5e-3 at a dephased point and
 20 000 draws.
-Where float32 theta could overflow (|x/eta| > 2**121), theta, cosine and sine
-are float64; where x/eta is not finite, chi takes its limit 0.  Without
+Where float32 theta could overflow (|x/eta| > 2**121), |chi| < 2**-363: there,
+and where x/eta is NaN, the draws are made and chi takes its limit 0.  Without
 inhomogeneous noise chi = 1 exactly: the same formula is the exact float64
 cos(a), one array expression over the whole grid, and draws nothing.
 
@@ -41,13 +41,14 @@ Reproducibility contract: a dataset is one random stream,
 ``np.random.default_rng(rng_seed)``.  The light-shift draws of each grid point
 (drawn point by point, 1.5 raw 64-bit words per draw) come from it in
 grid order, then all success counts in one binomial call: the same config and
-seed give bit-identical datasets.  A visibility scan keys one such stream per
-pulse spacing, from ``(rng_seed, row index)``.
+seed give bit-identical datasets.  A visibility scan is one such stream too,
+``np.random.default_rng([rng_seed, n])``: its fringes draw one after another,
+so the scans of one sweep, one per n, draw independent noise.
 
 Sampling is written once, as ``_simulate``: a (B, N) stack of time grids and
-one stream per row give the (B, N) success counts, from one
-``ensemble_probability`` call (with a light shift, row b draws point by point
-from stream b, rows in order) and one binomial call per row from its stream.
+one generator give the (B, N) success counts, from one
+``ensemble_probability`` call (with a light shift, point by point, row after
+row) and then one binomial call over the whole stack.
 A dataset is a stack of one row; a visibility scan has one row per pulse
 spacing (a (B, 1) column in its sequence), its grids built and checked by the
 scan's one grid rule (``_fringe_grids``), and fits all its rows in one stack.
@@ -349,13 +350,9 @@ def _phasor(log_g: np.ndarray, s: float):
     are taken in float32: per draw this is within 2**-23*(1 + |s|*(2 + 6|L|))
     of the float64 values of the exact L (``tests/test_montecarlo.py`` derives
     the bound), so the error grows with s = x/eta.  |L| <= 72 ln 2 < 2**6, so
-    theta fits float32 for |s| <= 2**121; a larger or non-finite s takes
-    theta, cosine and sine in float64.
+    theta fits float32 for |s| <= 2**121, the only s it is called with.
     """
-    if abs(s) <= 2.0**121:
-        theta = np.multiply(log_g, np.float32(s), out=log_g)
-    else:
-        theta = log_g.astype(np.float64) * s
+    theta = np.multiply(log_g, np.float32(s), out=log_g)
     cos = np.cos(theta)
     return cos, np.sin(theta, out=theta)
 
@@ -368,34 +365,33 @@ def ensemble_probability(config: ExperimentConfig, t, rng):
     cos(a)*Re(chi) - sin(a)*Im(chi), where chi(x) = E[exp(i*L*x/eta)] = (1 + i*x/eta)**-3
     is the characteristic function of the shifted-Gamma light shift delta0 - L/eta.
     Without inhomogeneous noise chi = 1 exactly: the mean is cos(a), exact float64.
-    With it, each time estimates chi from ``config.noise_draws`` float32 draws of L
-    (``gamma3_log``), drawn in grid order: the cosines and sines of ``_phasor``, averaged
-    in float64; where x/eta is not finite the draws are made and chi is its limit, 0.
-    A carrier that overflows has no limit: its NaN is refused by ``_simulate``.
-    Homogeneous noise at n >= 1 multiplies that mean by the exact Gaussian average
-    exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights`` (``analytic._gaussian_factor``),
-    and draws nothing; a variance that overflows gives 0.  A scalar t gives a float.
+    With it, each time of t, in C order, draws ``config.noise_draws`` float32 values
+    of L (``gamma3_log``) from the one generator ``rng`` and estimates chi from them:
+    the cosines and sines of ``_phasor``, averaged in float64.  Where |x/eta| > 2**121,
+    |chi| < 2**-363, and there (and where x/eta is NaN) the draws are made and chi is
+    its limit, 0.  A carrier that overflows has no limit: its NaN is refused by
+    ``_simulate``.  Homogeneous noise at n >= 1 multiplies that mean by the exact
+    Gaussian average exp(-sum_i (c_i*sigma_i)**2 / 2), c = ``jump_weights``
+    (``analytic._gaussian_factor``), and draws nothing; a variance that overflows
+    gives 0.  A scalar t gives a float.
 
     A stack of B sequences that differ only in tau (a visibility scan) is one
-    call: ``config.sequence.tau`` a (B, 1) column, ``t`` a (B, N) grid and
-    ``rng`` a list of B generators, row b's draws coming from ``rng[b]`` (or one
-    generator, drawn from row after row).
+    call: ``config.sequence.tau`` a (B, 1) column and ``t`` a (B, N) grid, drawn
+    row after row.
     """
     seq, dist = config.sequence, config.inhomogeneous
     x = accumulated_phase(1.0, seq.tau, seq.n, t)  # t - 2*n*tau, timing rule checked
     chi = 1 + 0j
     if dist is not None:
-        rows = len(seq.tau) if isinstance(seq.tau, np.ndarray) else 1
-        streams = rng if isinstance(rng, list) else [rng] * rows
-        chi = np.zeros(np.shape(t), dtype=complex)  # its limit where x/eta is not finite
         with np.errstate(over="ignore"):
-            scaled = np.reshape(x / dist.eta, (rows, -1))
-        for row, stream, row_scaled in zip(chi.reshape(rows, -1), streams, scaled):
-            for i, s in enumerate(row_scaled.tolist()):
-                log_g = gamma3_log(stream, config.noise_draws)
-                if math.isfinite(s):
-                    cos, sin = _phasor(log_g, s)
-                    row[i] = complex(np.mean(cos, dtype=np.float64), np.mean(sin, dtype=np.float64))
+            scaled = np.ravel(x / dist.eta).tolist()
+        chi = np.zeros(len(scaled), dtype=complex)
+        for i, s in enumerate(scaled):
+            log_g = gamma3_log(rng, config.noise_draws)
+            if abs(s) <= 2.0**121:  # False for NaN: chi stays at its limit 0
+                cos, sin = _phasor(log_g, s)
+                chi[i] = complex(np.mean(cos, dtype=np.float64), np.mean(sin, dtype=np.float64))
+        chi = chi.reshape(np.shape(t))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN where the carrier overflows
         carrier = (seq.delta - config.zeeman_shift - (dist.delta0 if dist else 0.0)) * x
         mean_cos = np.cos(carrier) * chi.real - np.sin(carrier) * chi.imag
@@ -409,29 +405,29 @@ def ensemble_probability(config: ExperimentConfig, t, rng):
 # ------------------------------------------------------------- datasets
 
 
-def _simulate(config: ExperimentConfig, grids: np.ndarray, streams: list) -> np.ndarray:
+def _simulate(config: ExperimentConfig, grids: np.ndarray, rng) -> np.ndarray:
     """Success counts of a (B, N) stack of time grids, the one sampling step.
 
-    ``config.sequence.tau`` is a number or a (B, 1) column of spacings.  Row b
-    draws its light shift, then its counts in one binomial call, from ``streams[b]``.
+    ``config.sequence.tau`` is a number or a (B, 1) column of spacings.  The one
+    generator ``rng`` draws the light shift row after row (``ensemble_probability``),
+    then every count in one binomial call over the stack.
     """
     if not grids.shape[-1]:
         raise DomainError("config has an empty time grid")
-    p = ensemble_probability(config, grids, streams)
+    p = ensemble_probability(config, grids, rng)
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN too: a phase that overflowed
         raise DomainError("probabilities must lie in [0, 1]")
-    cycles = int(config.cycles_per_point)
-    return np.array([stream.binomial(cycles, row) for stream, row in zip(streams, p)])
+    return rng.binomial(int(config.cycles_per_point), p)
 
 
 def simulate_dataset(config: ExperimentConfig) -> FringeDataset:
     """Synthesize a binomially sampled dataset over the config's time grid.
 
-    ``_simulate`` on the grid as a stack of one row, from one stream seeded by
-    ``config.rng_seed``.
+    ``_simulate`` on the grid as a stack of one row, from the one stream
+    ``default_rng(config.rng_seed)``.
     """
     times = np.array(config.time_grid)
-    successes = _simulate(config, times[None, :], [np.random.default_rng(config.rng_seed)])[0]
+    successes = _simulate(config, times[None, :], np.random.default_rng(config.rng_seed))[0]
     return FringeDataset(times, successes, np.full(times.shape, config.cycles_per_point))
 
 
@@ -490,27 +486,22 @@ def scan_visibility(
     For each tau, the readout pulse time is scanned symmetrically around the
     echo time 2*n*tau (covering ``_CARRIER_PERIODS`` fringe periods); a scan its
     grid rule refuses (``_fringe_grids``) raises DomainError before any draw.  The
-    scan is one (B, N) stack, one row per tau, from grid to fit: ``_simulate``
-    samples every fringe (its pulse spacings a column), each from its own
-    stream, and all fringes are fitted in one stacked call, each with the
-    result ``fit_fringe`` gives it alone.  Fit
+    scan is one (B, N) stack, one row per tau, from grid to fit, and one dataset:
+    ``_simulate`` samples every fringe (its pulse spacings a column) from the one
+    stream ``default_rng([rng_seed, n])``, so the scans of different n draw
+    independent noise.  An ``invert_fraction`` config is simulated in the default
+    readout, the same fringe counted from the other state.  All fringes are fitted
+    in one stacked call, each with the result ``fit_fringe`` gives it alone.  Fit
     failures are reported per point (``ok = False``), never raised.
     """
     seq = config.sequence
     t2_star = T2_STAR_PER_ETA * config.inhomogeneous.eta if config.inhomogeneous else math.inf
     taus = np.array([float(tau) for tau in tau_grid])
     grids = _fringe_grids(config, taus, points_per_fringe)
-    if not taus.size:
-        return []
-    streams = [np.random.default_rng(int(np.random.SeedSequence(
-        entropy=config.rng_seed, spawn_key=(2, j)).generate_state(1)[0]))
-        for j in range(taus.size)]
-    scan = replace(config, sequence=replace(seq, tau=taus[:, None]), time_grid=())
-    successes = _simulate(scan, grids, streams)
+    scan = replace(config, sequence=replace(seq, tau=taus[:, None]), time_grid=(),
+                   invert_fraction=False)
     cycles = int(config.cycles_per_point)
-    if config.invert_fraction:  # the same fringe in the default readout: 1 - (1 + c*w)/2
-        successes = cycles - successes
-    fractions = successes / cycles
+    fractions = _simulate(scan, grids, np.random.default_rng([config.rng_seed, seq.n])) / cycles
     fits = _fit_fringes(grids, fractions, binomial_weights(fractions, cycles),
                         seq.n, taus, t2_star)
     points = []

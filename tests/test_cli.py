@@ -449,8 +449,8 @@ def test_scan_grid_numpy_refuses_is_named():
 
 
 def test_simulate_at_a_vanishing_t2_star_exits_0_without_warnings(tmp_path, capsys):
-    # At T2* = 1e-300 s, x/eta reaches 2e297: L*x/eta overflows float32, so the
-    # kernel takes theta in float64.  Any warning is an error here.
+    # At T2* = 1e-300 s, x/eta reaches 2e297: past 2**121, where L*x/eta could
+    # overflow float32, chi takes its limit 0.  Any warning is an error here.
     doc = ramsey_doc()
     doc["inhomogeneous"] = {"t2_star_s": 1e-300}
     config = write_config(tmp_path / "cfg.json", doc)
@@ -462,13 +462,13 @@ def test_simulate_at_a_vanishing_t2_star_exits_0_without_warnings(tmp_path, caps
     assert fractions.size == 120 and np.all((fractions >= 0) & (fractions <= 1))
 
 
-def test_simulate_where_x_over_eta_overflows_takes_chi_at_its_limit(tmp_path, capsys):
-    # At T2* = 1e-320 s, eta is subnormal and x/eta infinite at every readout time:
-    # chi takes its limit 0, so every fraction is 1/2 in expectation.  The draws
-    # are made all the same, in grid order, before the counts.  Any warning is an
-    # error here.
+def simulate_past_chi_range(tmp_path, capsys, t2_star):
+    """``simulate`` of the Ramsey config at ``t2_star``, where |x/eta| > 2**121 at every
+    readout time: chi is its limit 0, so every fraction is 1/2 in expectation.  The
+    draws are made all the same, in grid order, before the counts.  Any warning is an
+    error here."""
     doc = ramsey_doc()
-    doc["inhomogeneous"] = {"t2_star_s": 1e-320}
+    doc["inhomogeneous"] = {"t2_star_s": t2_star}
     config = write_config(tmp_path / "cfg.json", doc)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "run")]) == 0
     assert capsys.readouterr().err == ""
@@ -479,6 +479,18 @@ def test_simulate_where_x_over_eta_overflows_takes_chi_at_its_limit(tmp_path, ca
         gamma3_log(rng, 20000)
     successes = FringeDataset.read_csv(tmp_path / "run.csv").successes
     assert np.array_equal(successes, rng.binomial(200, np.full(120, 0.5)))
+
+
+def test_simulate_where_x_over_eta_overflows_takes_chi_at_its_limit(tmp_path, capsys):
+    # At T2* = 1e-320 s, eta is subnormal and x/eta infinite at every readout time.
+    simulate_past_chi_range(tmp_path, capsys, 1e-320)
+
+
+def test_simulate_where_x_over_eta_nears_the_largest_float_takes_chi_at_its_limit(
+        tmp_path, capsys):
+    # At T2* = 1e-310 s, eta is subnormal and x/eta finite but up to 3e307, where
+    # float64 theta = L*x/eta would overflow.
+    simulate_past_chi_range(tmp_path, capsys, 1e-310)
 
 
 def test_sweep_where_x_over_eta_overflows_exits_0_without_warnings(tmp_path, capsys):
@@ -1053,6 +1065,21 @@ def test_sweep_reruns_are_byte_identical(table_sweep, tmp_path):
     assert rc == 0
     for name in ("visibility_n1.csv", "visibility_n6.csv", "summary.json"):
         assert filecmp.cmp(table_sweep / name, tmp_path / name, shallow=False)
+
+
+def test_a_row_of_a_sweep_depends_only_on_the_seed_and_n(table_sweep, tmp_path):
+    # Each scan is one stream keyed by (rng_seed, n): sweeping n = 6 alone gives
+    # the same table and summary row as sweeping it after n = 1.
+    rows = {"1": {"sigma_sig": {"value": 27.6, "angular": True}, "contrast": 0.687},
+            "6": {"sigma_sig": {"value": 55.7, "angular": True}, "contrast": 0.602}}
+    config = write_config(tmp_path / "cfg.json", sweep_doc(seed=7, rows=rows))
+    assert main(["sweep-n", "--config", config, "--n", "6", "--outdir", str(tmp_path)]) == 0
+    assert filecmp.cmp(table_sweep / "visibility_n6.csv", tmp_path / "visibility_n6.csv",
+                       shallow=False)
+    assert not (tmp_path / "visibility_n1.csv").exists()
+    alone = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["rows"]
+    both = json.loads((table_sweep / "summary.json").read_text(encoding="utf-8"))["rows"]
+    assert alone == [row for row in both if row["n"] == 6]
 
 
 def test_inverted_readout_sweep_gives_the_same_visibilities(table_sweep, tmp_path):
