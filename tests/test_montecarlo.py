@@ -131,19 +131,24 @@ def test_kernel_estimates_the_characteristic_function_within_four_standard_error
     assert abs(np.mean(sin, dtype=np.float64) - chi.imag) <= 4 * se_im
 
 
-@pytest.mark.parametrize("t, eta", [
-    (np.nextafter(2.0**121, np.inf), 1.0),
-    (1e300, 1.0),
-    (1.0, 5e-324),            # x/eta overflows to inf
-], ids=["past-2**121", "1e300", "inf"])
-def test_kernel_takes_chi_at_its_limit_beyond_float32_theta_range(t, eta):
+# x = t - 2*n*tau: Ramsey (n = 0, tau = 0) gives x = t, and one pulse read out
+# at t = tau gives x = -tau
+@pytest.mark.parametrize("n, tau, t, eta", [
+    (0, 0.0, np.nextafter(2.0**121, np.inf), 1.0),
+    (1, 1e38, 1e38, 1.0),
+    (0, 0.0, 1e300, 1.0),
+    (0, 0.0, 1.0, 5e-324),    # x/eta overflows to inf
+    (1, 1.0, 1.0, 5e-324),    # and to -inf
+], ids=["past-2**121", "-1e38", "1e300", "inf", "-inf"])
+def test_kernel_takes_chi_at_its_limit_beyond_float32_theta_range(n, tau, t, eta):
     # |L| <= 72 ln 2 < 2**6: beyond |x/eta| = 2**121, theta = L*x/eta could
     # overflow float32, and |chi| < 2**-363 there.  chi is its limit 0, so the
     # probability is the readout of 0; the point's draws are made all the same.
-    seq = SequenceSpec("ramsey", 0, delta=2 * math.pi * 8.6e3)
+    seq = SequenceSpec("cpmg" if n else "ramsey", n, tau=tau, delta=2 * math.pi * 8.6e3)
     cfg = ExperimentConfig(sequence=seq, inhomogeneous=LightShiftDistribution(0.0, eta),
                            noise_draws=1000, contrast=0.9, time_grid=(t,))
-    assert abs(t / eta) > 2.0**121
+    with np.errstate(over="ignore"):
+        assert abs((t - 2 * n * tau) / eta) > 2.0**121
     rng, expected_rng = np.random.default_rng(7), np.random.default_rng(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
